@@ -4,8 +4,8 @@ Part 1 runs the case study under the canned ``dropped-messages`` fault
 plan with the resilient MPI layer enabled: dropped ghost-exchange
 messages time out at the receiver and are recovered by retransmission,
 and the run completes cleanly.  The recovery statistics and the injected
-fault schedule are printed, and the rank-0 timeline (faults and
-recoveries as instant events) is dumped as a Chrome/Perfetto trace.
+fault schedule are printed, and every rank's fault timeline (faults and
+recoveries as instant spans) is written as one Chrome/Perfetto trace.
 
 Part 2 demonstrates checkpoint/restart: the same application is killed
 mid-run by a ``kill_at_step`` crash point, then resumed from the latest
@@ -24,7 +24,7 @@ from repro.faults.plan import FaultPlan, canned_plans
 from repro.faults.policy import ResiliencePolicy
 from repro.harness.casestudy import CaseStudyConfig, run_case_study
 from repro.mpi.runner import RankFailure
-from repro.tau.trace import dump_chrome_trace
+from repro.obs import dump_chrome_trace_spans, validate_trace_file
 
 
 def merged_resilience(result) -> dict[str, int]:
@@ -39,7 +39,10 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--steps", type=int, default=6)
     ap.add_argument("--nx", type=int, default=32)
-    ap.add_argument("--trace-out", default="fault_trace.json")
+    ap.add_argument("--trace-out", default="fault_trace.json",
+                    help="where part 1 writes every rank's fault/recovery "
+                         "timeline (Chrome/Perfetto JSON: load it in "
+                         "chrome://tracing or ui.perfetto.dev)")
     args = ap.parse_args()
 
     params = DriverParams(nx=args.nx, ny=args.nx, max_levels=2,
@@ -59,10 +62,14 @@ def main() -> None:
     print(f"injected faults: {result.world.injector.total_counts()}")
     print(f"recovery stats:  {merged_resilience(result)}")
 
-    dump_chrome_trace(result.world.injector.tracers[0].records(),
-                      args.trace_out)
-    print(f"rank-0 fault/recovery timeline written to {args.trace_out} "
-          "(load in chrome://tracing or ui.perfetto.dev)")
+    tracers = result.world.injector.tracers
+    dump_chrome_trace_spans(
+        [s for tr in tracers for s in tr.spans()], [], args.trace_out,
+        process_name="fault timeline",
+        dropped_counts={tr.rank: tr.dropped_count for tr in tracers})
+    problems = validate_trace_file(args.trace_out)
+    if problems:
+        raise SystemExit(f"invalid fault timeline {args.trace_out}: {problems}")
 
     # --------------------------------- part 2: kill, checkpoint, restart
     kill_step = max(1, args.steps // 2)

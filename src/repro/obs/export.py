@@ -4,7 +4,10 @@
 run (a :class:`~repro.cca.scmd.ScmdResult`'s world, or a bare list of
 :class:`~repro.obs.runtime.RankObs`) into one :class:`ObsDump`;
 :func:`write_trace` / :func:`write_metrics` produce the CI artifacts
-(Perfetto JSON, metrics JSON + Prometheus text); and
+(Perfetto JSON, metrics JSON + Prometheus text);
+:func:`dump_chrome_trace_spans` is the package's one Chrome/Perfetto
+writer (obs runs, flight-recorder post-mortems and fault timelines all
+go through it); and
 :func:`validate_chrome_payload` is the schema gate CI fails on — it
 round-trips the JSON and checks the invariants a viewer relies on
 (monotone timestamps, balanced B/E per track, resolvable flow ids).
@@ -15,12 +18,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.obs.critical_path import flow_edges
 from repro.obs.metrics import MetricsRegistry, merge_registries
 from repro.obs.runtime import RankObs
 from repro.obs.span import FlowPoint, Span
-from repro.tau.trace import dump_chrome_trace_spans
 from repro.util.atomicio import atomic_write_text
 
 
@@ -111,6 +114,120 @@ def collect(source: Any) -> ObsDump:
     dump.spans.sort(key=lambda s: (s.t_start_us, s.rank, s.span_id))
     _warn_drops_once(dump.dropped_by_rank)
     return dump
+
+
+# ------------------------------------------------------------------ chrome
+def _truncation_events(dropped_counts: Mapping[int, int] | None) -> list[dict]:
+    """Loud per-rank instant events announcing dropped history."""
+    events: list[dict] = []
+    for rank, n in sorted((dropped_counts or {}).items()):
+        if n:
+            events.append({
+                "name": f"TRACE TRUNCATED: rank {rank} dropped {n} span(s)",
+                "ph": "i", "s": "g", "pid": 0, "tid": rank, "ts": 0.0,
+                "args": {"dropped": n},
+            })
+    return events
+
+
+def _span_depth(span: Span, by_id: Mapping[int, Span]) -> int:
+    depth, pid = 0, span.parent_id
+    while pid is not None and depth < 64:
+        anc = by_id.get(pid)
+        if anc is None:
+            break
+        depth, pid = depth + 1, anc.parent_id
+    return depth
+
+
+def chrome_trace_from_spans(spans: Sequence[Span],
+                            flows: Sequence[FlowPoint] = (),
+                            process_name: str = "repro",
+                            dropped_counts: Mapping[int, int] | None = None,
+                            ) -> list[dict]:
+    """Render spans + causal flow edges as Chrome/Perfetto trace events.
+
+    Spans become balanced ``"B"``/``"E"`` duration pairs on their rank's
+    thread track.  Flow points become Perfetto flow events: each matched
+    p2p pair is an ``"s"``(send span) → ``"f"``(recv span) arrow, and
+    each collective draws arrows from the last-arriving participant (the
+    rank whose arrival unblocked the rendezvous) to every other
+    participant.  Zero-duration (instant) spans render as B/E pairs 1 ns
+    wide, so one rule covers every span.  Events are sorted so timestamps
+    are globally monotone and same-timestamp events close inner-before-outer
+    and open outer-before-inner, keeping every track's B/E stream balanced.
+    """
+    by_id = {s.span_id: s for s in spans}
+    meta: list[dict] = [{
+        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+        "args": {"name": process_name},
+    }]
+    meta.extend(_truncation_events(dropped_counts))
+    for rank in sorted({s.rank for s in spans}):
+        meta.append({"name": "thread_name", "ph": "M", "pid": 0, "tid": rank,
+                     "args": {"name": f"rank {rank}"}})
+
+    # Sort keys: (ts, kind) with kind ordering E(0) < s/f flows(1) < B(2);
+    # among E's, deeper spans close first; among B's, shallower open first.
+    keyed: list[tuple[float, int, int, dict]] = []
+    for s in spans:
+        depth = _span_depth(s, by_id)
+        t_end = s.t_end_us if s.t_end_us > s.t_start_us else s.t_start_us + 1e-3
+        args = {"span_id": s.span_id, "category": s.category}
+        if s.attrs:
+            args.update(s.attrs)
+        base = {"name": s.name, "cat": s.category, "pid": 0, "tid": s.rank}
+        keyed.append((s.t_start_us, 2, depth, {**base, "ph": "B",
+                                               "ts": s.t_start_us, "args": args}))
+        keyed.append((t_end, 0, -depth, {**base, "ph": "E", "ts": t_end}))
+
+    # Causal edges, derived exactly as the critical-path analyzer sees them.
+    edge_seq = 0
+    for sink_id, srcs in sorted(flow_edges(flows).items()):
+        sink = by_id.get(sink_id)
+        if sink is None:
+            continue
+        for src_id in srcs:
+            src = by_id.get(src_id)
+            if src is None:
+                continue  # dropped by the bounded buffer
+            edge_seq += 1
+            fid = f"flow{edge_seq}"
+            ts_out = max(src.t_start_us,
+                         (src.t_end_us or src.t_start_us + 1e-3) - 1e-3)
+            ts_in = max(sink.t_start_us,
+                        (sink.t_end_us or sink.t_start_us + 1e-3) - 1e-3)
+            keyed.append((ts_out, 1, 0, {
+                "name": "dep", "cat": "flow", "ph": "s", "id": fid,
+                "pid": 0, "tid": src.rank, "ts": ts_out}))
+            keyed.append((ts_in, 1, 1, {
+                "name": "dep", "cat": "flow", "ph": "f", "bp": "e", "id": fid,
+                "pid": 0, "tid": sink.rank, "ts": ts_in}))
+    keyed.sort(key=lambda kv: (kv[0], kv[1], kv[2]))
+    return meta + [ev for _, _, _, ev in keyed]
+
+
+def dump_chrome_trace_spans(spans: Sequence[Span],
+                            flows: Sequence[FlowPoint],
+                            path: str,
+                            process_name: str = "repro",
+                            dropped_counts: Mapping[int, int] | None = None,
+                            sampled_out: Mapping[int, int] | None = None) -> str:
+    """Atomically write a span trace (with flows) as Chrome/Perfetto JSON."""
+    payload: dict = {
+        "traceEvents": chrome_trace_from_spans(
+            spans, flows, process_name=process_name,
+            dropped_counts=dropped_counts),
+        "displayTimeUnit": "ms",
+        "otherData": {},
+    }
+    if dropped_counts and any(dropped_counts.values()):
+        payload["otherData"]["dropped_spans"] = {
+            str(r): n for r, n in sorted(dropped_counts.items()) if n}
+    if sampled_out and any(sampled_out.values()):
+        payload["otherData"]["sampled_out_spans"] = {
+            str(r): n for r, n in sorted(sampled_out.items()) if n}
+    return atomic_write_text(path, json.dumps(payload, indent=1))
 
 
 # ------------------------------------------------------------------ writers

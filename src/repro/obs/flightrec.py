@@ -213,8 +213,8 @@ def merge_flight_recordings(directory: str = os.path.join("out", "flightrec"),
     written, so a "timeline exists" check in CI really means "loads in
     ui.perfetto.dev".
     """
-    from repro.obs.export import validate_chrome_payload
-    from repro.tau.trace import dump_chrome_trace_spans
+    from repro.obs.export import (dump_chrome_trace_spans,
+                                  validate_chrome_payload)
 
     files = sorted(glob.glob(os.path.join(directory, "rank*.json")))
     if not files:

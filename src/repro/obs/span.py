@@ -1,10 +1,12 @@
 """Distributed span tracing: nested spans with causal cross-rank links.
 
-The flat ENTER/EXIT streams of :mod:`repro.tau.trace` answer "what ran
-when on rank r" but not "what *unblocked* what": a send on rank 0 and the
-receive it satisfies on rank 3 are unrelated records.  This module adds
-the span model (ScALPEL-style always-on monitoring over Cactus-style
-hierarchical timer trees):
+Spans are the repository's one timeline.  A flat per-rank stream answers
+"what ran when on rank r" but not "what *unblocked* what": a send on rank
+0 and the receive it satisfies on rank 3 would be unrelated records.  The
+span model (ScALPEL-style always-on monitoring over Cactus-style
+hierarchical timer trees) answers both, and serves every consumer: the
+TAU profiler's tracing option, the fault injector's per-rank fault
+timelines and the obs layer's run traces.
 
 * a :class:`Span` is a named interval with a unique id, a parent id (the
   enclosing span on the same rank) and a category used by the
@@ -112,9 +114,8 @@ class SpanTracer:
     ``sampled=False`` — the MPI ops — are always recorded, because a
     sampled-out send would orphan the receive edge on another rank.
 
-    The buffer is bounded like :class:`repro.tau.trace.Tracer`: overflow
-    drops the oldest half of the *closed* spans and ``dropped_count``
-    says so; exporters must surface it loudly.
+    The buffer is bounded: overflow drops the oldest half of the *closed*
+    spans and ``dropped_count`` says so; exporters must surface it loudly.
 
     Self-accounting: every ``_OVERHEAD_STRIDE``-th begin/end measures its
     own duration with two extra clock reads and scales by the stride, so

@@ -16,11 +16,12 @@ Hardware metrics come from :mod:`repro.tau.hardware`, a PAPI-like layer
 backed by an explicit cache model (see DESIGN.md substitutions).  Profiles
 dump to TAU-style ``profile.<rank>`` files, and
 :func:`repro.tau.summary.function_summary` renders the paper's Figure 3
-"FUNCTION SUMMARY (mean)" table.
+"FUNCTION SUMMARY (mean)" table.  The tracing option is a
+:class:`repro.obs.span.SpanTracer` handed to the :class:`Profiler`; its
+spans are written by :mod:`repro.obs.export`.
 """
 
 from repro.tau.timer import TimerStats
-from repro.tau.trace import Tracer, TraceRecord, TraceKind, merge_traces, region_durations
 from repro.tau.events import AtomicEvent, EventRegistry
 from repro.tau.hardware import CacheModel, HardwareCounters, AccessPattern
 from repro.tau.profiler import Profiler
@@ -29,11 +30,6 @@ from repro.tau.summary import function_summary, merge_snapshots
 
 __all__ = [
     "TimerStats",
-    "Tracer",
-    "TraceRecord",
-    "TraceKind",
-    "merge_traces",
-    "region_durations",
     "AtomicEvent",
     "EventRegistry",
     "CacheModel",

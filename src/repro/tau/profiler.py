@@ -13,6 +13,10 @@ Two ways time enters a timer:
   layer's virtual cost) — it both accumulates under the routine's own timer
   and counts as *child* time of the enclosing region so exclusive times
   stay consistent (Figure 3 semantics).
+
+TAU's tracing option is a :class:`~repro.obs.span.SpanTracer`: with one
+attached, every timer bracket is also a ``compute`` span and charged
+time lands on the enclosing spans as ``virtual_us``.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Iterator
 
-from repro.obs.span import CAT_COMPUTE
+from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.events import EventRegistry
 from repro.tau.hardware import CacheModel, HardwareCounters
 from repro.tau.timer import TimerStats, _Frame
-from repro.tau.trace import Tracer
+from repro.util.atomicio import atomic_write_text
 from repro.util.timebase import now_us
 
 MPI_GROUP = "MPI"
@@ -33,9 +37,9 @@ MPI_GROUP = "MPI"
 class Profiler:
     """Timing + events + hardware counters for one rank.
 
-    Pass a :class:`~repro.tau.trace.Tracer` to additionally record the
-    timestamped ENTER/EXIT/EVENT timeline (TAU's tracing option); profiling
-    aggregates are always collected.
+    Pass a :class:`~repro.obs.span.SpanTracer` to additionally record the
+    timeline (TAU's tracing option); profiling aggregates are always
+    collected.
     """
 
     def __init__(
@@ -43,8 +47,7 @@ class Profiler:
         rank: int = 0,
         cache: CacheModel | None = None,
         clock: Callable[[], float] = now_us,
-        tracer: Tracer | None = None,
-        span_tracer=None,
+        tracer: SpanTracer | None = None,
     ) -> None:
         self.rank = int(rank)
         self._clock = clock
@@ -53,12 +56,11 @@ class Profiler:
         self._disabled_groups: set[str] = set()
         self.events = EventRegistry()
         self.counters = HardwareCounters(cache)
+        #: every start/stop bracketing also opens/closes a compute-category
+        #: span (subject to the tracer's 1-in-N sampling), so proxied
+        #: component invocations are traced for free via the Mastermind's
+        #: existing timer path.
         self.tracer = tracer
-        #: optional repro.obs.span.SpanTracer: every start/stop bracketing
-        #: also opens/closes a compute-category span (subject to the
-        #: tracer's 1-in-N sampling), so proxied component invocations are
-        #: traced for free via the Mastermind's existing timer path.
-        self.span_tracer = span_tracer
 
     # ------------------------------------------------------------ timers
     def _get_timer(self, name: str, group: str) -> TimerStats:
@@ -87,11 +89,9 @@ class Profiler:
         self._get_timer(name, group)
         if not self.group_enabled(group):
             return
-        if self.tracer is not None:
-            self.tracer.enter(name)
         span = None
-        if self.span_tracer is not None:
-            span = self.span_tracer.start(name, CAT_COMPUTE, sampled=True)
+        if self.tracer is not None:
+            span = self.tracer.start(name, CAT_COMPUTE, sampled=True)
         reentrant = any(f.name == name for f in self._stack)
         self._stack.append(_Frame(name=name, start_us=self._clock(),
                                   reentrant=reentrant, span=span))
@@ -113,9 +113,7 @@ class Profiler:
             )
         self._stack.pop()
         if self.tracer is not None:
-            self.tracer.exit(name)
-        if self.span_tracer is not None:
-            self.span_tracer.end(frame.span)
+            self.tracer.end(frame.span)
         elapsed = self._clock() - frame.start_us
         assert timer is not None  # created at start()
         timer.calls += 1
@@ -148,8 +146,6 @@ class Profiler:
             raise ValueError(f"negative charge {duration_us} for {name!r}")
         if not self.group_enabled(group):
             return
-        if self.tracer is not None:
-            self.tracer.event(name, duration_us)
         t = self._get_timer(name, group)
         t.calls += 1
         t.inclusive_us += duration_us
@@ -194,7 +190,11 @@ class Profiler:
 
     # -------------------------------------------------------------- dump
     def dump(self, path: str) -> None:
-        """Write a TAU-style text profile (one file per rank)."""
+        """Write a TAU-style text profile (one file per rank).
+
+        The write is atomic: a crash mid-dump leaves any previous profile
+        intact.
+        """
         lines = [f"# TAU-style profile, rank {self.rank}", "# name group calls incl_us excl_us"]
         for name in sorted(self._timers):
             t = self._timers[name]
@@ -210,5 +210,4 @@ class Profiler:
         lines.append("# hardware counters")
         for name, v in sorted(self.counters.read().items()):
             lines.append(f"{name} {v}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")

@@ -11,6 +11,10 @@ TAU profiling semantics (paper Section 4.1 / Figure 3):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.span import Span
 
 
 @dataclass
@@ -50,4 +54,4 @@ class _Frame:
     reentrant: bool = False
     #: the observability span opened for this frame (None when tracing is
     #: off or the span was sampled out)
-    span: object | None = None
+    span: Span | None = None

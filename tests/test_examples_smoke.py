@@ -1,8 +1,11 @@
 """Smoke-run the shipped examples (small arguments, subprocess)."""
 
+import json
 import os
 import subprocess
 import sys
+
+from repro.obs import validate_trace_file
 
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
@@ -49,7 +52,10 @@ def test_fault_tolerance_small(tmp_path):
     assert "'recovered': 3" in out
     assert "run killed as planned" in out
     assert "BITWISE IDENTICAL" in out
-    assert (tmp_path / "trace.json").exists()
+    assert validate_trace_file(str(tmp_path / "trace.json")) == []
+    events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+    drops = [e for e in events if e["name"] == "fault.drop" and e["ph"] == "B"]
+    assert len(drops) == 3  # the drops land on more than one rank
 
 
 def test_observability_small(tmp_path):

@@ -14,9 +14,12 @@ from repro.euler.setup import shock_interface_ic
 from repro.faults.checkpoint import (CheckpointConfig, Checkpointer,
                                      hierarchy_state, hierarchy_states_equal,
                                      latest_step, load_rank_state)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, RankStall
+from repro.obs.export import (chrome_trace_from_spans, dump_chrome_trace_spans,
+                              validate_chrome_payload, validate_trace_file)
 from repro.perf.records import InvocationRecord, MethodRecord
 from repro.tau.query import InvocationMeasurement
-from repro.tau.trace import Tracer, chrome_trace_events, dump_chrome_trace
 from repro.util.atomicio import (atomic_pickle, atomic_write_bytes,
                                  atomic_write_text)
 
@@ -182,36 +185,38 @@ def test_mastermind_restore_refuses_open_invocations():
 
 
 # ------------------------------------------------------------ chrome trace
-def test_chrome_trace_events_shapes():
-    clock = iter(range(100))
-    tr = Tracer(rank=2, clock=lambda: float(next(clock)))
-    tr.enter("region")
-    tr.event("fault.drop", 1.0)
-    tr.event("checkpoint.save", 3.0)
-    tr.exit("region")
-    events = chrome_trace_events(tr.records(), process_name="proc")
+def test_fault_timeline_chrome_events_shapes():
+    inj = FaultInjector(FaultPlan(name="t"), nranks=3)
+    inj.note(2, "fault.drop", 1.0)
+    inj.note(2, "checkpoint.save", 3.0)
+    events = chrome_trace_from_spans(inj.tracers[2].spans(), process_name="proc")
+    assert validate_chrome_payload({"traceEvents": events}) == []
 
     meta = [e for e in events if e["ph"] == "M"]
     assert {e["name"] for e in meta} == {"process_name", "thread_name"}
     assert meta[0]["args"]["name"] == "proc"
     assert any(e["args"].get("name") == "rank 2" for e in meta)
 
+    # Instant spans share the one B/E rendering rule (no "i" phase).
     begins = [e for e in events if e["ph"] == "B"]
     ends = [e for e in events if e["ph"] == "E"]
-    instants = [e for e in events if e["ph"] == "i"]
-    assert [e["name"] for e in begins] == ["region"]
-    assert [e["name"] for e in ends] == ["region"]
-    assert [e["name"] for e in instants] == ["fault.drop", "checkpoint.save"]
-    assert all(e["tid"] == 2 and e["s"] == "t" for e in instants)
-    assert instants[1]["args"]["value"] == 3.0
+    assert [e["name"] for e in begins] == ["fault.drop", "checkpoint.save"]
+    assert [e["name"] for e in ends] == ["fault.drop", "checkpoint.save"]
+    assert not [e for e in events if e["ph"] == "i"]
+    assert all(e["tid"] == 2 for e in begins + ends)
+    assert begins[1]["args"]["value"] == 3.0
 
 
 def test_dump_chrome_trace_is_loadable_json(tmp_path):
-    tr = Tracer(rank=0)
-    tr.event("fault.stall", 2.5)
+    inj = FaultInjector(FaultPlan(stalls=(RankStall(rank=0, extra_us=2.5),)),
+                        nranks=2)
+    assert inj.on_mpi_op(0, "MPI_Send") == 2.5
     path = str(tmp_path / "trace.json")
-    dump_chrome_trace(tr.records(), path)
+    dump_chrome_trace_spans([s for tr in inj.tracers for s in tr.spans()],
+                            [], path)
+    assert validate_trace_file(path) == []
     payload = json.load(open(path, encoding="utf-8"))
     assert payload["displayTimeUnit"] == "ms"
-    names = [e["name"] for e in payload["traceEvents"]]
-    assert "fault.stall" in names
+    stalls = [e for e in payload["traceEvents"] if e["name"] == "fault.stall"]
+    assert [e["ph"] for e in stalls] == ["B", "E"]
+    assert stalls[0]["args"]["value"] == 2.5

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cca import Component, Framework
+from repro.obs.span import CAT_COMPUTE, SpanTracer
 from repro.tau.component import MeasurementPort, TauMeasurementComponent
 from repro.tau.profiler import Profiler
-from repro.tau.trace import TraceKind, Tracer
 
 
 class Inspector(Component):
@@ -82,30 +82,41 @@ class TestMeasurementPort:
 
 class TestProfilerTracing:
     def test_timer_brackets_traced(self):
-        tracer = Tracer(rank=0)
+        tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
-        with p.timer("region"):
-            pass
-        kinds = [(r.kind, r.name) for r in tracer.records()]
-        assert kinds == [(TraceKind.ENTER, "region"), (TraceKind.EXIT, "region")]
+        with p.timer("outer"):
+            with p.timer("inner"):
+                pass
+        spans = {s.name: s for s in tracer.spans()}
+        assert sorted(spans) == ["inner", "outer"]
+        assert all(s.category == CAT_COMPUTE for s in spans.values())
+        assert spans["inner"].parent_id == spans["outer"].span_id
+        assert tracer.open_depth() == 0
 
-    def test_charge_traced_as_event(self):
-        tracer = Tracer(rank=0)
+    def test_charge_adds_virtual_us_to_enclosing_spans(self):
+        tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
-        p.charge("MPI_Waitsome", 33.0)
-        rec = tracer.records()[0]
-        assert rec.kind is TraceKind.EVENT
-        assert rec.name == "MPI_Waitsome"
-        assert rec.value == 33.0
+        with p.timer("outer"):
+            with p.timer("inner"):
+                p.charge("MPI_Waitsome", 33.0)
+            p.charge("MPI_Send", 7.0)
+        p.charge("MPI_Barrier", 5.0)  # no enclosing span: timers only
+        spans = {s.name: s for s in tracer.spans()}
+        assert sorted(spans) == ["inner", "outer"]
+        assert spans["inner"].attrs["virtual_us"] == 33.0
+        assert spans["outer"].attrs["virtual_us"] == 40.0
+        assert p.get("MPI_Barrier").inclusive_us == 5.0
 
     def test_disabled_group_not_traced(self):
-        tracer = Tracer(rank=0)
+        tracer = SpanTracer(rank=0)
         p = Profiler(tracer=tracer)
         p.disable_group("MPI")
-        p.charge("MPI_Send", 1.0)
-        p.start("t", group="MPI")
-        p.stop("t")
-        assert len(tracer) == 0
+        with p.timer("region"):
+            p.charge("MPI_Send", 1.0)
+            p.start("t", group="MPI")
+            p.stop("t")
+        assert [s.name for s in tracer.spans()] == ["region"]
+        assert "virtual_us" not in tracer.spans()[0].attrs
 
     def test_no_tracer_is_fine(self):
         p = Profiler()

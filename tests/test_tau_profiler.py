@@ -1,5 +1,7 @@
 """Profiler semantics: nesting, exclusivity, groups, charging, dumping."""
 
+import os
+
 import pytest
 
 from repro.tau.profiler import MPI_GROUP, Profiler
@@ -179,3 +181,25 @@ def test_dump_writes_profile_file(tmp_path, clocked):
     assert "region" in text
     assert "ev" in text
     assert "PAPI_FP_OPS" in text
+
+
+def test_dump_failure_keeps_previous_profile(tmp_path, clocked, monkeypatch):
+    p, clock = clocked
+    with p.timer("first"):
+        clock.tick(1.0)
+    path = tmp_path / "profile.0"
+    p.dump(str(path))
+    before = path.read_text()
+    with p.timer("second"):
+        clock.tick(1.0)
+
+    def crash(src, dst):
+        raise OSError("simulated crash mid-dump")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="mid-dump"):
+        p.dump(str(path))
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert "second" not in before
+    assert os.listdir(tmp_path) == ["profile.0"]  # no temp file left behind

@@ -1,9 +1,7 @@
-"""Event tracing (TAU's second measurement option)."""
+"""Event tracing (TAU's second measurement option) as a span timeline."""
 
-import pytest
-
-from repro.tau.trace import (TraceKind, Tracer, merge_traces,
-                             region_durations)
+from repro.obs.span import SpanTracer
+from repro.tau.profiler import Profiler
 
 
 class FakeClock:
@@ -15,88 +13,28 @@ class FakeClock:
         return self.t
 
 
-def test_enter_exit_event_recorded():
-    tr = Tracer(rank=0, clock=FakeClock())
-    tr.enter("compute")
-    tr.event("cells", 128.0)
-    tr.exit("compute")
-    kinds = [r.kind for r in tr.records()]
-    assert kinds == [TraceKind.ENTER, TraceKind.EVENT, TraceKind.EXIT]
-    assert tr.records()[1].value == 128.0
-    assert len(tr) == 3
-
-
 def test_timestamps_monotone():
-    tr = Tracer(rank=0)
+    tracer = SpanTracer(rank=0)
+    p = Profiler(tracer=tracer)
     for _ in range(5):
-        tr.event("tick")
-    times = [r.t_us for r in tr.records()]
-    assert times == sorted(times)
+        with p.timer("tick"):
+            pass
+    spans = tracer.spans()
+    assert len(spans) == 5
+    starts = [s.t_start_us for s in spans]
+    assert starts == sorted(starts)
+    assert all(s.t_end_us >= s.t_start_us for s in spans)
 
 
 def test_buffer_bounded_with_drop_accounting():
-    tr = Tracer(rank=0, max_records=10, clock=FakeClock())
+    tracer = SpanTracer(rank=0, max_spans=10, clock=FakeClock())
+    p = Profiler(tracer=tracer)
     for i in range(25):
-        tr.event(f"e{i}")
-    assert len(tr) <= 10
-    assert tr.dropped_count > 0
-    # newest records survive
-    assert tr.records()[-1].name == "e24"
-
-
-def test_invalid_max_records():
-    with pytest.raises(ValueError):
-        Tracer(max_records=0)
-
-
-def test_dump_format(tmp_path):
-    tr = Tracer(rank=2, clock=FakeClock())
-    tr.enter("r")
-    tr.exit("r")
-    path = tmp_path / "trace.0"
-    tr.dump(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert "ENTER\tr" in lines[1]
-    assert "EXIT\tr" in lines[2]
-
-
-def test_merge_orders_by_time_then_rank():
-    c = FakeClock()
-    a = Tracer(rank=0, clock=c)
-    b = Tracer(rank=1, clock=c)
-    a.event("x")  # t=1
-    b.event("y")  # t=2
-    a.event("z")  # t=3
-    merged = merge_traces([b, a])
-    assert [r.name for r in merged] == ["x", "y", "z"]
-
-
-def test_region_durations_nested():
-    c = FakeClock()
-    tr = Tracer(rank=0, clock=c)
-    tr.enter("outer")   # t=1
-    tr.enter("inner")   # t=2
-    tr.exit("inner")    # t=3
-    tr.exit("outer")    # t=4
-    durs = region_durations(tr.records())
-    assert durs[(0, "outer")] == [3.0]
-    assert durs[(0, "inner")] == [1.0]
-
-
-def test_region_durations_recursive_same_name():
-    c = FakeClock()
-    tr = Tracer(rank=0, clock=c)
-    tr.enter("f")  # 1
-    tr.enter("f")  # 2
-    tr.exit("f")   # 3 -> inner 1.0
-    tr.exit("f")   # 4 -> outer 3.0
-    durs = region_durations(tr.records())
-    assert durs[(0, "f")] == [1.0, 3.0]
-
-
-def test_unmatched_exit_raises():
-    tr = Tracer(rank=0)
-    tr.exit("ghost")
-    with pytest.raises(ValueError, match="EXIT without ENTER"):
-        region_durations(tr.records())
+        with p.timer(f"e{i}"):
+            pass
+    assert len(tracer) <= 10
+    assert tracer.dropped_count + len(tracer) == 25
+    # newest spans survive
+    assert tracer.spans()[-1].name == "e24"
+    # a truncated timeline never truncates the profile
+    assert sum(p.get(f"e{i}").calls for i in range(25)) == 25
