@@ -1,7 +1,9 @@
 """Microbenchmarks of the AMR substrate.
 
 Characterizes the Berger-Rigoutsos clustering and the ghost-exchange
-planning/execution path at case-study-like sizes.
+planning/execution path at case-study-like sizes: planning from scratch,
+executing a prebuilt plan, and a hierarchy ghost update whose plans come
+from the hierarchy's plan cache.
 """
 
 import numpy as np
@@ -53,6 +55,23 @@ def test_microbench_ghost_execute_local(benchmark):
     h = _build_level()
     plan = plan_same_level_exchange(h.levels[0])
     benchmark(lambda: execute_transfers(plan, h.fields, comm=None))
+
+
+def test_microbench_ghost_update_cached(benchmark):
+    h = GridHierarchy(Box(0, 0, 63, 63), ["rho", "mx", "my", "E"],
+                      max_levels=3, max_patch_cells=1024)
+    h.init_level0(blocks=(4, 4))
+    h.fill(0, lambda X, Y: dict.fromkeys(h.fields, np.where(X < 0.5, 1.0, 4.0)))
+    h.regrid()
+    h.regrid()
+    assert all(h.levels[lev] for lev in range(3))
+
+    def update_all():
+        for lev in range(3):
+            h.ghost_update(lev)
+
+    update_all()  # builds the plans; every timed call reuses them
+    benchmark(update_all)
 
 
 def test_microbench_regrid(benchmark):

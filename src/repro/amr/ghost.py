@@ -9,9 +9,12 @@ resolution change (prolongation/restriction applied at the source);
 layer with ``isend``/``irecv``/``waitsome`` — the MPI_Waitsome-dominated
 pattern of the paper's Figure 3.
 
-Plans are computed from replicated metadata (every rank knows all patch
-boxes and owners), so all ranks enumerate identical transfer lists and tag
-assignment needs no negotiation.
+Every rank enumerates the same *global* plan from replicated metadata
+(every rank knows all patch boxes and owners), but an :class:`ExchangePlan`
+keeps only the transfers this rank sends or receives, each with its index
+in the global plan.  A message's tag is the exchange's tag base plus that
+global index, so sender and receiver agree on it without negotiation and
+without either holding the transfers that involve neither of them.
 """
 
 from __future__ import annotations
@@ -22,34 +25,45 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.amr.box import Box
+from repro.amr.interpolation import prolong, restrict
 from repro.amr.patch import Patch
 from repro.mpi.comm import SimComm
 from repro.mpi.request import RecvRequest, waitsome
-
-#: signature of a source-side data transform (e.g. prolong/restrict)
-Transform = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
 class Transfer:
     """One region move: src_patch.src_region -> dst_patch.dst_region.
 
-    Regions are boxes in each patch's own level index space; after the
-    optional ``transform`` the source block's shape must equal the
-    destination region's shape.
+    Regions are boxes in each patch's own level index space.  The source
+    block is resampled at the source rank, in this order: prolonged by
+    ``power``, cut to ``crop`` (slices into the prolonged block), then
+    restricted by ``restrict_by``.  Afterwards its shape must equal the
+    destination region's shape.  Plans built by the hierarchy use only
+    these plain-data fields, so they can be inspected and pickled;
+    ``transform`` is an extra source-side callable for one-off transfers.
     """
 
     src_patch: Patch
     dst_patch: Patch
     src_region: Box
     dst_region: Box
-    transform: Transform | None = None
+    power: int = 1
+    crop: tuple[slice, slice] | None = None
+    restrict_by: int = 1
+    transform: Callable[[np.ndarray], np.ndarray] | None = None
 
     def extract(self, fields: Sequence[str]) -> np.ndarray:
         """Stack the source data block for all fields (at the source rank)."""
         blocks = []
         for f in fields:
             block = np.ascontiguousarray(self.src_patch.view(f, self.src_region))
+            if self.power > 1:
+                block = prolong(block, self.power)
+            if self.crop is not None:
+                block = block[self.crop]
+            if self.restrict_by > 1:
+                block = restrict(block, self.restrict_by)
             if self.transform is not None:
                 block = self.transform(block)
             blocks.append(block)
@@ -96,12 +110,25 @@ def plan_same_level_exchange(patches: Sequence[Patch]) -> list[Transfer]:
 
 @dataclass
 class ExchangePlan:
-    """A reusable transfer plan plus its bookkeeping."""
+    """One rank's share of a global transfer plan.
+
+    ``transfers`` are the global plan's transfers this rank sends or
+    receives, ``indices`` their positions in the global plan and ``size``
+    the global plan's length.  Tags and the exchanger's tag counter derive
+    from the global plan, so they match across ranks.
+    """
 
     transfers: list[Transfer]
+    indices: list[int]
+    size: int
 
-    def nbytes_estimate(self, nfields: int) -> int:
-        return sum(t.dst_region.ncells * 8 * nfields for t in self.transfers)
+    @classmethod
+    def for_rank(cls, transfers: Sequence[Transfer],
+                 rank: int | None) -> "ExchangePlan":
+        """Keep the transfers ``rank`` takes part in (all when ``None``)."""
+        keep = [i for i, t in enumerate(transfers)
+                if rank is None or rank in (t.src_patch.owner, t.dst_patch.owner)]
+        return cls([transfers[i] for i in keep], keep, len(transfers))
 
 
 def execute_transfers(
@@ -110,13 +137,15 @@ def execute_transfers(
     comm: SimComm | None,
     rank: int = 0,
     tag_base: int = 0,
+    indices: Sequence[int] | None = None,
 ) -> float:
     """Run a transfer plan; returns the modeled MPI time consumed (us).
 
     Local transfers (src and dst owned by ``rank``) copy directly.  Remote
     ones post ``isend``/``irecv`` and drain completions with ``waitsome``,
-    the paper's AMRMesh communication pattern.  With ``comm=None`` the plan
-    must be entirely local (serial runs).
+    the paper's AMRMesh communication pattern.  Transfer ``k`` is tagged
+    ``tag_base + indices[k]`` (``tag_base + k`` without ``indices``).  With
+    ``comm=None`` the plan must be entirely local (serial runs).
     """
     fields = list(fields)
     if comm is None:
@@ -128,8 +157,8 @@ def execute_transfers(
     san = comm.world.sanitizer
     guard = san.ghost_guard(rank) if san is not None else None
     recvs: list[tuple[RecvRequest, Transfer, int]] = []
-    for idx, t in enumerate(transfers):
-        tag = tag_base + idx
+    for k, t in enumerate(transfers):
+        tag = tag_base + (k if indices is None else indices[k])
         src_o, dst_o = t.src_patch.owner, t.dst_patch.owner
         if src_o == rank and dst_o == rank:
             t.insert(t.extract(fields), fields)
@@ -159,9 +188,11 @@ def execute_transfers(
 class GhostExchanger:
     """Stateful per-level ghost-update driver with deterministic tags.
 
-    One instance per mesh; every call advances the shared tag counter the
-    same way on every rank (plans are replicated), keeping message matching
-    unambiguous across overlapping exchanges.
+    One instance per mesh.  Every exchange advances the tag counter by the
+    length of the *global* plan, and each message is tagged with its
+    transfer's global index, so the counter moves the same way on every
+    rank although each rank stores only its own transfers.  That keeps
+    message matching unambiguous across overlapping exchanges.
     """
 
     def __init__(self, comm: SimComm | None = None, rank: int = 0) -> None:
@@ -174,13 +205,16 @@ class GhostExchanger:
         self._tag += max(plan_len, 1)
         return base
 
+    def plan(self, transfers: Sequence[Transfer]) -> ExchangePlan:
+        """This rank's share of a global plan (all of it in serial runs)."""
+        return ExchangePlan.for_rank(transfers, None if self.comm is None else self.rank)
+
     def update_level(self, patches: Sequence[Patch], fields: Sequence[str]) -> float:
         """Same-level ghost-cell update; returns modeled MPI time (us)."""
-        plan = plan_same_level_exchange(patches)
-        base = self.next_tag_base(len(plan))
-        return execute_transfers(plan, fields, self.comm, self.rank, tag_base=base)
+        return self.run(self.plan(plan_same_level_exchange(patches)), fields)
 
-    def run(self, transfers: Sequence[Transfer], fields: Sequence[str]) -> float:
-        """Execute an arbitrary pre-computed plan (inter-level motion)."""
-        base = self.next_tag_base(len(transfers))
-        return execute_transfers(transfers, fields, self.comm, self.rank, tag_base=base)
+    def run(self, plan: ExchangePlan, fields: Sequence[str]) -> float:
+        """Execute this rank's share of a plan; returns modeled MPI time (us)."""
+        base = self.next_tag_base(plan.size)
+        return execute_transfers(plan.transfers, fields, self.comm, self.rank,
+                                 tag_base=base, indices=plan.indices)

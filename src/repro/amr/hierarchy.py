@@ -16,6 +16,12 @@ Responsibilities:
   zero-gradient physical boundaries), returning the modeled MPI time each
   call consumed — the per-level samples of the paper's Figure 9;
 * conservative fine-to-coarse synchronization (restriction).
+
+Transfer plans change only when a level's patch list does, so the ghost
+update and restriction plans are cached per (kind, level) as this rank's
+:class:`~repro.amr.ghost.ExchangePlan` phases.  Every patch-list
+replacement goes through :meth:`GridHierarchy.replace_level`, which drops
+the whole cache; the next use rebuilds against the new patches.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from repro.amr.clustering import cluster_flags
 from repro.amr.decomposition import (DecompositionStats, assign_knapsack,
                                      assign_round_robin)
 from repro.amr.flagging import buffer_flags, flag_gradient
-from repro.amr.ghost import GhostExchanger, Transfer
-from repro.amr.interpolation import prolong, restrict
+from repro.amr.ghost import (ExchangePlan, GhostExchanger, Transfer,
+                             plan_same_level_exchange)
 from repro.amr.patch import Patch
 from repro.mpi.comm import SimComm
 from repro.util.validation import check_in_range, check_positive
@@ -55,6 +61,31 @@ def ghost_strips(box: Box, nghost: int, clip: Box) -> list[Box]:
         if ov is not None:
             out.append(ov)
     return out
+
+
+def prolongation_transfers(
+    targets: Sequence[tuple[Patch, Box]], sources: Sequence[Patch], power: int,
+) -> list[Transfer]:
+    """Coarse->fine transfers filling each ``(fine patch, region)`` target.
+
+    ``sources`` are patches ``power`` times coarser; each transfer prolongs
+    the covering coarse cells and crops them to the target region.
+    """
+    plan: list[Transfer] = []
+    for fp, region in targets:
+        cov = region.coarsen(power)
+        for cp in sources:
+            ov_c = cov.intersection(cp.box)
+            if ov_c is None:
+                continue
+            fine_cover = ov_c.refine(power)
+            dst = fine_cover.intersection(region)
+            if dst is None:
+                continue
+            plan.append(Transfer(src_patch=cp, dst_patch=fp, src_region=ov_c,
+                                 dst_region=dst, power=power,
+                                 crop=dst.slices(fine_cover)))
+    return plan
 
 
 class GridHierarchy:
@@ -104,6 +135,8 @@ class GridHierarchy:
         self.balancer = _BALANCERS[balancer]
         self.levels: list[list[Patch]] = [[] for _ in range(self.max_levels)]
         self.exchanger = GhostExchanger(comm=comm, rank=self.rank)
+        #: (kind, level) -> this rank's plan phases; see :meth:`replace_level`
+        self._plans: dict[tuple[str, int], list[ExchangePlan]] = {}
         self._uid = 0
         #: number of completed regrids (decomposition generation, Figure 9)
         self.regrid_count = 0
@@ -156,6 +189,15 @@ class GridHierarchy:
     def local_patches(self, level: int) -> list[Patch]:
         return [p for p in self.levels[level] if self.is_local(p)]
 
+    def replace_level(self, level: int, patches: list[Patch]) -> None:
+        """Install ``patches`` as ``level``'s patch list.
+
+        The only way a level's patches change; it drops every cached plan,
+        since plans hold the patches they move data between.
+        """
+        self.levels[level] = patches
+        self._plans.clear()
+
     def _allocate_local(self, patches: Sequence[Patch]) -> None:
         for p in patches:
             if self.is_local(p):
@@ -184,7 +226,7 @@ class GridHierarchy:
                 patches.append(self._new_patch(box, 0))
         stats = self.balancer(patches, self.nranks)
         self.decomposition_stats.append(stats)
-        self.levels[0] = patches
+        self.replace_level(0, patches)
         self._allocate_local(patches)
 
     def fill(self, level: int, fn: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]]) -> None:
@@ -220,32 +262,12 @@ class GridHierarchy:
         land *on top of* finer data (a write-after-write race the ghost
         sanitizer flags).
         """
-        phases: list[list[Transfer]] = []
         lbox = self.level_box(level)
-        for src_level in range(level):
-            power = self.r ** (level - src_level)
-            plan: list[Transfer] = []
-            for fp in self.levels[level]:
-                for strip in ghost_strips(fp.box, self.nghost, lbox):
-                    cov = strip.coarsen(power)
-                    for cp in self.levels[src_level]:
-                        ov_c = cov.intersection(cp.box)
-                        if ov_c is None:
-                            continue
-                        fine_cover = ov_c.refine(power)
-                        dst = fine_cover.intersection(strip)
-                        if dst is None:
-                            continue
-                        crop = dst.slices(fine_cover)
-                        plan.append(Transfer(
-                            src_patch=cp,
-                            dst_patch=fp,
-                            src_region=ov_c,
-                            dst_region=dst,
-                            transform=(lambda b, p=power, c=crop: prolong(b, p)[c]),
-                        ))
-            phases.append(plan)
-        return phases
+        targets = [(fp, strip) for fp in self.levels[level]
+                   for strip in ghost_strips(fp.box, self.nghost, lbox)]
+        return [prolongation_transfers(targets, self.levels[src_level],
+                                       self.r ** (level - src_level))
+                for src_level in range(level)]
 
     def _fill_physical_bc(self, level: int) -> None:
         """Zero-gradient extrapolation into ghosts outside the domain."""
@@ -265,25 +287,45 @@ class GridHierarchy:
                 if p.box.jhi == lbox.jhi:
                     arr[:, -g:] = arr[:, -g - 1 : -g]
 
+    def _phases(self, kind: str, level: int) -> list[ExchangePlan]:
+        """This rank's cached plan phases of ``kind`` on ``level``.
+
+        ``kind`` is ``"interlevel"`` (one phase per coarser source level),
+        ``"same"`` (the same-level exchange) or ``"restrict"`` (level+1
+        interiors onto ``level``).  Built on first use after the last
+        :meth:`replace_level`.
+        """
+        key = (kind, level)
+        phases = self._plans.get(key)
+        if phases is None:
+            if kind == "interlevel":
+                global_phases = self._interlevel_ghost_phases(level)
+            elif kind == "same":
+                global_phases = [plan_same_level_exchange(self.levels[level])]
+            else:
+                global_phases = [self._restriction_transfers(level)]
+            phases = self._plans[key] = [self.exchanger.plan(t) for t in global_phases]
+        return phases
+
+    def _exchange(self, kind: str, level: int) -> float:
+        """Run the cached phases in order; returns modeled MPI time (us)."""
+        return sum((self.exchanger.run(phase, self.fields)
+                    for phase in self._phases(kind, level)), 0.0)
+
     def ghost_update(self, level: int) -> float:
         """Fill ghost cells on ``level``; returns modeled MPI time (us).
 
         Order: coarse-level cascade fill, then same-level exchange (which
         overwrites where true neighbors exist), then physical boundaries.
         """
-        comm_us = 0.0
-        if level > 0:
-            for phase in self._interlevel_ghost_phases(level):
-                comm_us += self.exchanger.run(phase, self.fields)
-        comm_us += self.exchanger.update_level(self.levels[level], self.fields)
+        comm_us = self._exchange("interlevel", level) if level > 0 else 0.0
+        comm_us += self._exchange("same", level)
         self._fill_physical_bc(level)
         return comm_us
 
     # ---------------------------------------------------------- sync down
-    def sync_down(self, level: int) -> float:
-        """Restrict level+1 interiors onto ``level``; returns MPI time (us)."""
-        if level + 1 >= self.max_levels or not self.levels[level + 1]:
-            return 0.0
+    def _restriction_transfers(self, level: int) -> list[Transfer]:
+        """Fine->coarse transfers restricting level+1 onto ``level``."""
         plan: list[Transfer] = []
         for cp in self.levels[level]:
             fine_span = cp.box.refine(self.r)
@@ -291,14 +333,16 @@ class GridHierarchy:
                 ov_f = fine_span.intersection(fp.box)
                 if ov_f is None:
                     continue
-                plan.append(Transfer(
-                    src_patch=fp,
-                    dst_patch=cp,
-                    src_region=ov_f,
-                    dst_region=ov_f.coarsen(self.r),
-                    transform=(lambda b, r=self.r: restrict(b, r)),
-                ))
-        return self.exchanger.run(plan, self.fields)
+                plan.append(Transfer(src_patch=fp, dst_patch=cp, src_region=ov_f,
+                                     dst_region=ov_f.coarsen(self.r),
+                                     restrict_by=self.r))
+        return plan
+
+    def sync_down(self, level: int) -> float:
+        """Restrict level+1 interiors onto ``level``; returns MPI time (us)."""
+        if level + 1 >= self.max_levels or not self.levels[level + 1]:
+            return 0.0
+        return self._exchange("restrict", level)
 
     # ----------------------------------------------------------- invariants
     def check_nesting(self, buffer: int = 0) -> list[str]:
@@ -419,37 +463,22 @@ class GridHierarchy:
             # levels overlap on purpose (finer overwrites coarser), and a
             # concurrent drain inserts in arrival order, so batching the
             # cascade into one plan would be a write-after-write race.
+            targets = [(fp, fp.box) for fp in new_fine]
             for src_level in range(lev + 1):
-                power = self.r ** (lev + 1 - src_level)
-                plan: list[Transfer] = []
-                for fp in new_fine:
-                    cov = fp.box.coarsen(power)
-                    for cp in self.levels[src_level]:
-                        ov_c = cov.intersection(cp.box)
-                        if ov_c is None:
-                            continue
-                        fine_cover = ov_c.refine(power)
-                        dst = fine_cover.intersection(fp.box)
-                        if dst is None:
-                            continue
-                        crop = dst.slices(fine_cover)
-                        plan.append(Transfer(
-                            src_patch=cp, dst_patch=fp, src_region=ov_c,
-                            dst_region=dst,
-                            transform=(lambda b, p=power, c=crop: prolong(b, p)[c]),
-                        ))
-                comm_us += self.exchanger.run(plan, self.fields)
+                seed = prolongation_transfers(targets, self.levels[src_level],
+                                              self.r ** (lev + 1 - src_level))
+                comm_us += self.exchanger.run(self.exchanger.plan(seed), self.fields)
             # Then preserve old fine data where it existed — again as a
             # separate exchange so it lands after every cascade write.
-            plan = []
+            preserve = []
             for fp in new_fine:
                 for op in old_fine:
                     ov = fp.box.intersection(op.box)
                     if ov is not None:
-                        plan.append(Transfer(src_patch=op, dst_patch=fp,
-                                             src_region=ov, dst_region=ov))
-            comm_us += self.exchanger.run(plan, self.fields)
-            self.levels[lev + 1] = new_fine
+                        preserve.append(Transfer(src_patch=op, dst_patch=fp,
+                                                 src_region=ov, dst_region=ov))
+            comm_us += self.exchanger.run(self.exchanger.plan(preserve), self.fields)
+            self.replace_level(lev + 1, new_fine)
             comm_us += self.ghost_update(lev + 1)
         self.regrid_count += 1
         return comm_us

@@ -89,7 +89,7 @@ def restore_hierarchy(h, state: dict[str, Any]) -> None:
                 saved = local_fields[p.uid]
                 for f in h.fields:
                     p.fields[f] = saved[f].copy()
-        h.levels[lev] = patches
+        h.replace_level(lev, patches)
     h._uid = state["uid_counter"]
     h.regrid_count = state["regrid_count"]
     h.exchanger._tag = state["exchanger_tag"]
