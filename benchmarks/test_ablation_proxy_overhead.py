@@ -27,7 +27,7 @@ def _proxied_framework():
     class Holder(Component):
         def set_services(self, sv):
             self.sv = sv
-            sv.register_uses_port("states", StatesPort)
+            sv.register_uses_port("states", StatesPort)  # ra: noqa[RA003] fetched via holder.sv
 
     fw = Framework()
     fw.create("states", StatesComponent)

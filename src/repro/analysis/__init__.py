@@ -11,8 +11,9 @@ Three layers (DESIGN.md sections 10 and 15):
   :mod:`~repro.analysis.sarif` — the whole-program engine: project-wide
   symbol table, interprocedural call graph, flow-aware communication
   rules (RA009–RA011, interprocedural RA002/RA006), unused-suppression
-  detection (RA012), SARIF 2.1.0 output, committed baseline and a
-  content-hash incremental cache.
+  detection (RA012), SARIF 2.1.0 output and a content-hash incremental
+  cache.  One gate: the full tree passes with no finding left
+  unsuppressed.
 * :mod:`repro.analysis.sanitize` — MUST-style runtime checkers (collective
   ordering, p2p leak/type hygiene, wait-for-graph deadlock detection,
   ghost-region race detection) enabled with ``sanitize=SanitizerConfig()``

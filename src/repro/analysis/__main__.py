@@ -1,17 +1,15 @@
 """CLI entry point: ``python -m repro.analysis [paths...] [options]``.
 
 Runs the whole-program engine (lexical rules + interprocedural flow
-rules) by default.  Exit status is 0 when no findings survive suppression
-and the baseline, 1 otherwise (2 on usage errors), so the command drops
-straight into CI.
+rules).  Exit status is 0 when no finding survives its line-level
+``# ra: noqa[RAxxx]``, 1 otherwise (2 on usage errors), so
+``python -m repro.analysis src tests benchmarks examples`` is the CI gate
+as it stands.
 
 Production flags::
 
     --sarif [PATH]       write SARIF 2.1.0 (default: stdout)
-    --baseline PATH      filter findings already in the committed baseline
-    --update-baseline    rewrite the baseline with the current findings
     --cache PATH         incremental cache keyed by file content hash
-    --no-engine          lexical per-file pass only (the PR-4 behavior)
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.engine import analyze_paths
-from repro.analysis.lint import lint_paths
 from repro.analysis.report import human_report, json_report
 from repro.analysis.sarif import render_sarif
 from repro.util.atomicio import atomic_write_text
@@ -44,49 +41,23 @@ def main(argv: Sequence[str] | None = None) -> int:
                         metavar="PATH",
                         help="emit SARIF 2.1.0 to PATH (or stdout with no "
                              "argument) instead of the human/JSON report")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file: findings fingerprinted there "
-                             "do not fail the run")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline from the current findings "
-                             "and exit 0")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="incremental cache file (content-hash keyed)")
-    parser.add_argument("--no-engine", action="store_true",
-                        help="per-file lexical rules only; skips the "
-                             "interprocedural engine, baseline and SARIF")
     args = parser.parse_args(argv)
 
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
     rules = ([c.strip().upper() for c in args.rules.split(",") if c.strip()]
              if args.rules else None)
 
-    if args.update_baseline and args.baseline is None:
-        print("repro.analysis: --update-baseline requires --baseline PATH",
-              file=sys.stderr)
-        return 2
-
     try:
-        if args.no_engine:
-            findings = lint_paths(paths, rules=rules)
-            fingerprints: dict = {}
-        else:
-            result = analyze_paths(
-                paths, rules=rules, cache_path=args.cache,
-                baseline_path=args.baseline,
-                update_baseline=args.update_baseline)
-            findings, fingerprints = result.findings, result.fingerprints
+        findings = analyze_paths(paths, rules=rules,
+                                 cache_path=args.cache).findings
     except FileNotFoundError as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        print(f"repro.analysis: baseline updated with {len(findings)} "
-              f"finding(s) -> {args.baseline}")
-        return 0
-
-    if args.sarif is not None and not args.no_engine:
-        sarif = render_sarif(findings, fingerprints)
+    if args.sarif is not None:
+        sarif = render_sarif(findings)
         if args.sarif == "-":
             print(sarif, end="")
         else:

@@ -17,7 +17,8 @@ RA011     blocking MPI call while holding a lock (``with self._lock:``), or
           breaks the deadlock detector's liveness argument
 RA002*    interprocedural determinism escapes: import-alias expansion
           (``import time as t; t.time()``) and calls into helpers that
-          transitively reach a wall-clock/RNG primitive
+          transitively reach a wall-clock/RNG primitive; like the
+          lexical RA002 it reports nothing in pytest modules
 RA006*    interprocedural MPI-in-hot-loop: a call, inside >= 2 nested
           loops, to a helper that transitively performs MPI
 ========  ==================================================================
@@ -29,7 +30,7 @@ manufactures a finding; the crosscheck's reachability uses CHA instead.
 from __future__ import annotations
 
 from repro.analysis.callgraph import SymbolTable
-from repro.analysis.lint import RA002_SANCTIONED, Finding
+from repro.analysis.lint import RA002_SANCTIONED, Finding, is_pytest_module
 from repro.analysis.rules import _COMM_METHODS, _RA002_CALLS, _RA002_SUFFIXES
 from repro.analysis.symbols import CallSite, FuncInfo, JsonNode
 
@@ -295,7 +296,7 @@ class FlowChecker:
         return result
 
     def check_determinism_indirect(self, fn: FuncInfo) -> list[Finding]:
-        if self._sanctioned(fn):
+        if self._sanctioned(fn) or is_pytest_module(fn.path):
             return []
         findings: list[Finding] = []
         for site in fn.calls():

@@ -4,7 +4,12 @@ Orchestrates the per-file lexical pass and the interprocedural flow rules
 into one production-shaped pipeline::
 
     files -> (cache?) per-file extraction -> symbol table -> call graph
-          -> flow rules -> suppressions (+RA012) -> baseline filter
+          -> flow rules -> suppressions (+RA012)
+
+There is one gate: a run passes when no finding survives its line-level
+``# ra: noqa[RAxxx]``.  Rules scope themselves from the file (RA002 and
+RA007 skip pytest modules; RA007 also skips program entry points), so
+the whole tree can be analyzed without a ledger of known findings.
 
 Production affordances:
 
@@ -13,10 +18,6 @@ Production affordances:
   and :data:`ENGINE_VERSION`; an unchanged file is never re-parsed.  The
   cross-file phases (symbol table, call graph, flow rules) are cheap and
   recomputed every run, so cache hits stay sound across file boundaries.
-* **Baseline** (``--baseline PATH``): known findings are identified by a
-  line-drift-robust fingerprint — ``sha1(rule : relpath : stripped line
-  text : occurrence-index)`` — and filtered out, so only *new* findings
-  fail CI.  ``--update-baseline`` rewrites the file atomically.
 * **Unused-suppression detection** (RA012): a ``# ra: noqa`` line that
   suppressed nothing is itself a finding (only when the full rule set
   runs; a ``--rules`` subset would make every other suppression look
@@ -39,8 +40,8 @@ from repro.analysis.symbols import ModuleSummary, extract_module, module_name_fo
 from repro.util.atomicio import atomic_write_text
 
 #: bumped whenever extraction or rule semantics change: stale cache entries
-#: (and baselines written by older engines) are invalidated wholesale
-ENGINE_VERSION = 1
+#: are invalidated wholesale
+ENGINE_VERSION = 2
 
 #: rule codes produced only by the engine layer (not the lexical pass)
 ENGINE_RULES = ("RA009", "RA010", "RA011", "RA012")
@@ -51,7 +52,6 @@ class EngineResult:
     """Outcome of one :func:`analyze_paths` run."""
 
     findings: list[Finding]
-    fingerprints: dict[Finding, str]
     summaries: list[ModuleSummary]
     table: SymbolTable
     graph: CallGraph
@@ -68,72 +68,6 @@ def _load_json(path: Path) -> dict[str, Any]:
         return obj if isinstance(obj, dict) else {}
     except (OSError, ValueError):
         return {}
-
-
-# ----------------------------------------------------------- fingerprints
-def _relpath(path: str) -> str:
-    p = Path(path)
-    try:
-        return p.resolve().relative_to(Path.cwd().resolve()).as_posix()
-    except ValueError:
-        return p.as_posix()
-
-
-def compute_fingerprints(findings: Sequence[Finding],
-                         sources: dict[str, str]) -> dict[Finding, str]:
-    """Stable ids robust to pure line drift.
-
-    ``sha1(rule : relpath : stripped-line-text : k)`` where ``k`` numbers
-    repeated identical (rule, line-text) pairs within one file.  Moving a
-    line keeps its fingerprint; editing it (or its rule) makes a new one.
-    """
-    lines_of: dict[str, list[str]] = {}
-    out: dict[Finding, str] = {}
-    seen: dict[tuple[str, str, str], int] = {}
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        if f.path not in lines_of:
-            src = sources.get(f.path)
-            if src is None:
-                try:
-                    src = Path(f.path).read_text(encoding="utf-8")
-                except OSError:
-                    src = ""
-            lines_of[f.path] = src.splitlines()
-        lines = lines_of[f.path]
-        text = lines[f.line - 1].strip() if 0 < f.line <= len(lines) else ""
-        rel = _relpath(f.path)
-        key = (f.rule, rel, text)
-        k = seen.get(key, 0)
-        seen[key] = k + 1
-        out[f] = hashlib.sha1(
-            f"{f.rule}:{rel}:{text}:{k}".encode("utf-8")).hexdigest()
-    return out
-
-
-# ---------------------------------------------------------------- baseline
-def load_baseline(path: Path) -> set[str]:
-    """Known-finding fingerprints, or the empty set on a missing file."""
-    obj = _load_json(path)
-    fps = obj.get("fingerprints", {})
-    if isinstance(fps, dict):
-        return set(fps)
-    return set(fps) if isinstance(fps, list) else set()
-
-
-def write_baseline(path: Path, findings: Sequence[Finding],
-                   fingerprints: dict[Finding, str]) -> None:
-    """Atomically (re)write the committed baseline, sorted for stable diffs."""
-    entries = {
-        fingerprints[f]: {"rule": f.rule, "path": _relpath(f.path),
-                          "message": f.message}
-        for f in findings if f in fingerprints
-    }
-    payload = {
-        "version": ENGINE_VERSION,
-        "tool": "repro.analysis",
-        "fingerprints": {fp: entries[fp] for fp in sorted(entries)},
-    }
-    atomic_write_text(str(path), json.dumps(payload, indent=2) + "\n")
 
 
 # ------------------------------------------------------------------- cache
@@ -172,29 +106,25 @@ def _summarize_file(path: Path, source: str) -> ModuleSummary:
 # ------------------------------------------------------------------ driver
 def analyze_paths(paths: Iterable[str | Path],
                   rules: Sequence[str] | None = None,
-                  cache_path: str | Path | None = None,
-                  baseline_path: str | Path | None = None,
-                  update_baseline: bool = False) -> EngineResult:
+                  cache_path: str | Path | None = None) -> EngineResult:
     """Run the whole-program engine over ``paths``.
 
-    Returns the surviving findings (suppressions applied, baseline
-    filtered) plus the model itself (summaries, symbol table, call graph)
-    for the crosscheck tests and the CLI.
+    Returns the surviving findings (suppressions applied) plus the model
+    itself (summaries, symbol table, call graph) for the crosscheck tests
+    and the CLI.
     """
     selected = {c.upper() for c in rules} if rules is not None else None
     cache_file = Path(cache_path) if cache_path is not None else None
     cache = _load_cache(cache_file)
     new_cache: dict[str, Any] = {}
     stats = {"files": 0, "cache_hits": 0, "cache_misses": 0,
-             "suppressed": 0, "baseline_filtered": 0}
+             "suppressed": 0}
 
     # --- per-file phase (cached)
     summaries: list[ModuleSummary] = []
-    sources: dict[str, str] = {}
     for path in iter_python_files(paths):
         stats["files"] += 1
         source = path.read_text(encoding="utf-8")
-        sources[str(path)] = source
         digest = _sha256(source)
         entry = cache.get(str(path))
         if entry is not None and entry.get("sha") == digest:
@@ -244,20 +174,6 @@ def analyze_paths(paths: Iterable[str | Path],
     if selected is not None:
         findings = [f for f in findings if f.rule in selected]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    # --- baseline
-    fingerprints = compute_fingerprints(findings, sources)
-    if baseline_path is not None:
-        baseline_file = Path(baseline_path)
-        if update_baseline:
-            write_baseline(baseline_file, findings, fingerprints)
-        else:
-            known = load_baseline(baseline_file)
-            before = len(findings)
-            findings = [f for f in findings if fingerprints[f] not in known]
-            stats["baseline_filtered"] = before - len(findings)
-
     stats["findings"] = len(findings)
-    return EngineResult(findings=findings, fingerprints=fingerprints,
-                        summaries=summaries, table=table, graph=graph,
-                        stats=stats)
+    return EngineResult(findings=findings, summaries=summaries, table=table,
+                        graph=graph, stats=stats)

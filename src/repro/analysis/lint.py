@@ -40,14 +40,6 @@ from typing import Iterable, Sequence
 #: sanctioned (path suffix match, POSIX-style)
 RA002_SANCTIONED = ("repro/util/timebase.py", "repro/util/rng.py")
 
-#: reporter modules where RA007's no-print rule does not apply: CLI entry
-#: points and human-facing report/loadgen output (path suffix match)
-RA007_SANCTIONED = (
-    "__main__.py",
-    "repro/harness/report.py",
-    "repro/serve/loadgen.py",
-)
-
 #: the one module allowed to call ``pickle.dumps`` inside ``repro.mpi``:
 #: RA008 confines wire-serialization decisions (and their per-frame cost)
 #: to the codec
@@ -86,6 +78,34 @@ class FileContext:
 
     def is_sanctioned_for(self, suffixes: Sequence[str]) -> bool:
         return any(self.posix.endswith(s) for s in suffixes)
+
+    @property
+    def is_entry_point(self) -> bool:
+        """``__main__.py``, or a module with a top-level main guard."""
+        return self.path.name == "__main__.py" or any(
+            isinstance(node, ast.If) and _is_main_guard(node.test)
+            for node in self.tree.body)
+
+
+def is_pytest_module(path: str | Path) -> bool:
+    """``test_*.py`` or ``conftest.py``, judged by the file name alone.
+
+    Library-only rules (RA002, RA007) skip these: tests and benchmarks
+    time and print on purpose.  Only the base name counts, so a checkout
+    that happens to sit under some ``tests/`` directory exempts nothing.
+    """
+    name = Path(path).name
+    return name == "conftest.py" or (name.startswith("test_")
+                                     and name.endswith(".py"))
+
+
+def _is_main_guard(test: ast.expr) -> bool:
+    """``__name__ == "__main__"``."""
+    return (isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name) and test.left.id == "__name__"
+            and len(test.ops) == 1 and isinstance(test.ops[0], ast.Eq)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value == "__main__")
 
 
 def _parse_noqa_comment(text: str) -> set[str] | None:

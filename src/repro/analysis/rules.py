@@ -11,7 +11,7 @@ RA003     uses-port declared but never fetched, or an assembly script
 RA004     mutable default argument
 RA005     bare or over-broad ``except``
 RA006     MPI call inside a per-cell (nested) loop — perf smell
-RA007     direct ``print`` outside reporter modules — route through
+RA007     direct ``print`` outside program entry points — route through
           structured logs / metrics instead
 RA008     ``pickle.dumps`` in ``repro.mpi`` outside the wire codec —
           serialize frames through :mod:`repro.mpi.codec` instead
@@ -19,16 +19,21 @@ RA008     ``pickle.dumps`` in ``repro.mpi`` outside the wire codec —
 
 Rules are deliberately conservative: dynamic names (non-literal timer or
 port names) opt the surrounding scope out rather than guessing.
+
+RA002 and RA007 guard library code only, and each file says whether it
+is library code: both skip pytest modules (``test_*.py``,
+``conftest.py``), and RA007 also skips program entry points
+(``__main__.py`` or a top-level ``if __name__ == "__main__":``).
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
+from collections import Counter, deque
 from typing import Iterator
 
-from repro.analysis.lint import (RA002_SANCTIONED, RA007_SANCTIONED,
-                                 RA008_SANCTIONED, FileContext, Finding)
+from repro.analysis.lint import (RA002_SANCTIONED, RA008_SANCTIONED,
+                                 FileContext, Finding, is_pytest_module)
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -57,6 +62,18 @@ def _function_defs(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunc
             yield node
 
 
+def _own_nodes(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.AST]:
+    """``fn``'s nodes in ``ast.walk`` order, minus nested function bodies."""
+    out: list[ast.AST] = []
+    todo = deque(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.popleft()
+        out.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
 class Rule:
     """Base: a named check over one file."""
 
@@ -79,6 +96,11 @@ class UnbalancedTimerRule(Rule):
     (``with profiler.timer(...)``) is always balanced and ignored.  A
     mismatch leaves a dangling TAU frame, corrupting inclusive/exclusive
     attribution for the rest of the run.
+
+    Each call counts only in its innermost function.  A ``start`` counts
+    only as a bare expression statement: one whose value is bound, passed
+    or returned is a span handle closed by ``end(span)``, not a TAU timer.
+    Every literal ``stop`` counts.
     """
 
     code = "RA001"
@@ -90,10 +112,14 @@ class UnbalancedTimerRule(Rule):
             starts: Counter[tuple[str, str]] = Counter()
             stops: Counter[tuple[str, str]] = Counter()
             sites: dict[tuple[str, str], ast.Call] = {}
-            for node in ast.walk(fn):
+            nodes = _own_nodes(fn)
+            bare = {id(n.value) for n in nodes if isinstance(n, ast.Expr)}
+            for node in nodes:
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in ("start", "stop")):
+                    continue
+                if node.func.attr == "start" and id(node) not in bare:
                     continue
                 recv = _dotted(node.func.value)
                 name = _str_arg(node)
@@ -142,7 +168,7 @@ class DeterminismEscapeRule(Rule):
     summary = "direct wall-clock/RNG access outside util.timebase/util.rng"
 
     def check(self, ctx: FileContext) -> list[Finding]:
-        if ctx.is_sanctioned_for(RA002_SANCTIONED):
+        if is_pytest_module(ctx.path) or ctx.is_sanctioned_for(RA002_SANCTIONED):
             return []
         findings: list[Finding] = []
         imports_random = False
@@ -401,9 +427,10 @@ class PrintRule(Rule):
     repo built — the output is invisible to metrics, spans, the flight
     recorder and the live endpoints, and it corrupts machine-readable
     stdout (the JSON/markdown reporters).  Route events through
-    ``RankObs.log`` / metrics; human-facing output belongs in the
-    ``__main__`` CLIs and the report/loadgen modules
-    (:data:`~repro.analysis.lint.RA007_SANCTIONED`).
+    ``RankObs.log`` / metrics; human-facing output belongs in program
+    entry points (``__main__.py`` or a module with a top-level
+    ``if __name__ == "__main__":``) and in pytest modules, which this
+    rule skips.
 
     AST-based on purpose: only a call whose function is the bare name
     ``print`` counts — ``_fingerprint(...)`` or a ``print`` method on
@@ -412,10 +439,10 @@ class PrintRule(Rule):
     """
 
     code = "RA007"
-    summary = "direct print() outside reporter modules"
+    summary = "direct print() outside program entry points"
 
     def check(self, ctx: FileContext) -> list[Finding]:
-        if ctx.is_sanctioned_for(RA007_SANCTIONED):
+        if is_pytest_module(ctx.path) or ctx.is_entry_point:
             return []
         findings: list[Finding] = []
         for node in ast.walk(ctx.tree):

@@ -2,9 +2,10 @@
 
 One run, one driver (``repro.analysis``), the full rule catalogue as
 ``reportingDescriptor`` entries, and one ``result`` per finding.  The
-shape targets GitHub code scanning: relative POSIX artifact URIs, 1-based
-regions, and stable ``partialFingerprints`` (the engine's baseline
-fingerprint) so annotations survive line drift.
+shape targets GitHub code scanning: relative POSIX artifact URIs and
+1-based regions.  No ``partialFingerprints`` are emitted (the property is
+optional in SARIF 2.1.0): the gate is a clean run, not a diff against
+known findings.
 
 :func:`validate_sarif` is a hermetic structural validator — this repo
 cannot fetch the JSON schema from the network in CI, so the tests pin the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.analysis.commcheck import ENGINE_RULE_SUMMARIES
 from repro.analysis.lint import Finding
@@ -58,7 +59,6 @@ def _relative_uri(path: str, root: Path) -> str:
 
 
 def to_sarif(findings: Iterable[Finding],
-             fingerprints: Mapping[Finding, str] | None = None,
              root: Path | None = None) -> dict[str, Any]:
     """Build the SARIF log object for a set of findings."""
     root = root if root is not None else Path.cwd()
@@ -66,7 +66,7 @@ def to_sarif(findings: Iterable[Finding],
     index = {r["id"]: i for i, r in enumerate(rules)}
     results: list[dict[str, Any]] = []
     for f in findings:
-        result: dict[str, Any] = {
+        results.append({
             "ruleId": f.rule,
             "ruleIndex": index.get(f.rule, -1),
             "level": "warning" if f.rule in _WARNING_RULES else "error",
@@ -78,11 +78,7 @@ def to_sarif(findings: Iterable[Finding],
                                "startColumn": f.col + 1},
                 },
             }],
-        }
-        if fingerprints and f in fingerprints:
-            result["partialFingerprints"] = {
-                "reproAnalysis/v1": fingerprints[f]}
-        results.append(result)
+        })
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -99,9 +95,8 @@ def to_sarif(findings: Iterable[Finding],
 
 
 def render_sarif(findings: Iterable[Finding],
-                 fingerprints: Mapping[Finding, str] | None = None,
                  root: Path | None = None) -> str:
-    return json.dumps(to_sarif(findings, fingerprints, root),
+    return json.dumps(to_sarif(findings, root),
                       indent=2, sort_keys=False) + "\n"
 
 

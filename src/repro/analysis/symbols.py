@@ -186,13 +186,6 @@ class ModuleSummary:
     noqa: dict[int, list[str]] = field(default_factory=dict)
     syntax_error: bool = False
 
-    @property
-    def posix(self) -> str:
-        return Path(self.path).as_posix()
-
-    def is_sanctioned_for(self, suffixes: tuple[str, ...]) -> bool:
-        return any(self.posix.endswith(s) for s in suffixes)
-
     def to_json(self) -> JsonNode:
         return {
             "module": self.module, "path": self.path, "aliases": self.aliases,

@@ -239,6 +239,17 @@ class TestInterproceduralUpgrades:
         assert not [f for f in fired.get("RA002", [])
                     if f.path.endswith("app.py")]
 
+    def test_ra002_helper_indirection_skips_pytest_modules(self, tmp_path):
+        """The interprocedural RA002 keeps the lexical rule's file scope."""
+        src = ("import numpy as np\n"
+               "def _fresh():\n"
+               "    return np.random.default_rng()\n"
+               "def job():\n"
+               "    return _fresh().random(4)\n")
+        fired = _rules_fired(tmp_path, {"mod.py": src, "test_mod.py": src,
+                                        "conftest.py": src})
+        assert {Path(f.path).name for f in fired.get("RA002", [])} == {"mod.py"}
+
     def test_ra006_comm_through_helper_in_hot_loop(self, tmp_path):
         fired = _rules_fired(tmp_path, {"m.py": (
             "def _halo(comm, cell):\n"

@@ -1,5 +1,5 @@
 """Engine plumbing: symbol extraction, call-graph resolution, incremental
-cache, baseline fingerprints, RA012 unused-suppression detection, SARIF."""
+cache, the full-tree gate, RA012 unused-suppression detection, SARIF."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.callgraph import CallGraph, SymbolTable
-from repro.analysis.engine import (ENGINE_VERSION, analyze_paths,
-                                   compute_fingerprints, load_baseline)
+from repro.analysis.engine import ENGINE_VERSION, analyze_paths
 from repro.analysis.lint import Finding, make_context
 from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
 from repro.analysis.symbols import (ModuleSummary, extract_module,
@@ -215,37 +214,11 @@ class TestIncrementalCache:
         assert [f.rule for f in r.findings] == ["RA011"]
 
 
-# ---------------------------------------------------------------- baseline
-class TestBaseline:
-    def test_fingerprints_survive_line_drift(self, tmp_path):
-        f = tmp_path / "a.py"
-        f.write_text("import time\ndef g():\n    time.time()\n")
-        r1 = analyze_paths([f])
-        (fp1,) = [r1.fingerprints[x] for x in r1.findings]
-        f.write_text("import time\n# a new leading comment\n\ndef g():\n    time.time()\n")
-        r2 = analyze_paths([f])
-        (fp2,) = [r2.fingerprints[x] for x in r2.findings]
-        assert fp1 == fp2
-
-    def test_baseline_filters_known_but_not_new(self, tmp_path):
-        f = tmp_path / "a.py"
-        f.write_text("import time\ndef g():\n    time.time()\n")
-        baseline = tmp_path / "base.json"
-        analyze_paths([f], baseline_path=baseline, update_baseline=True)
-        assert len(load_baseline(baseline)) == 1
-        clean = analyze_paths([f], baseline_path=baseline)
-        assert clean.findings == []
-        assert clean.stats["baseline_filtered"] == 1
-        f.write_text("import time\ndef g():\n    time.time()\n"
-                     "def h():\n    time.perf_counter()\n")
-        r = analyze_paths([f], baseline_path=baseline)
-        assert [f_.line for f_ in r.findings] == [5]
-
-    def test_committed_repo_baseline_keeps_ci_green(self):
-        """The committed analysis_baseline.json covers every current finding
-        over the full analyzed tree — i.e. the CI gate passes right now."""
-        result = analyze_paths(["src", "tests", "benchmarks", "examples"],
-                               baseline_path="analysis_baseline.json")
+# --------------------------------------------------------------- repo gate
+class TestRepoGate:
+    def test_full_tree_has_no_findings(self):
+        """The CI gate: the whole tree is clean with no findings ledger."""
+        result = analyze_paths(["src", "tests", "benchmarks", "examples"])
         assert result.findings == [], [f.format() for f in result.findings]
 
 
@@ -286,13 +259,11 @@ class TestSarif:
         f = tmp_path / "a.py"
         f.write_text("import time\ndef g():\n    time.time()\n")
         r = analyze_paths([f])
-        log = to_sarif(r.findings, r.fingerprints, root=tmp_path)
+        log = to_sarif(r.findings, root=tmp_path)
         validate_sarif(log)
         (res,) = log["runs"][0]["results"]
         assert res["ruleId"] == "RA002"
         assert res["locations"][0]["physicalLocation"]["region"]["startLine"] == 3
-        assert res["partialFingerprints"]["reproAnalysis/v1"] == \
-            r.fingerprints[r.findings[0]]
 
     def test_rule_catalogue_covers_every_emittable_code(self, tmp_path):
         log = to_sarif([])
@@ -321,25 +292,6 @@ class TestSarif:
     def test_render_round_trips_through_json(self):
         text = render_sarif([Finding("RA010", "a.py", 1, 2, "leak")])
         validate_sarif(json.loads(text))
-
-
-# ------------------------------------------------------------ fingerprints
-class TestFingerprints:
-    def test_duplicate_line_text_disambiguated_by_occurrence(self, tmp_path):
-        f = tmp_path / "a.py"
-        f.write_text("import time\ndef g():\n    time.time()\n"
-                     "def h():\n    time.time()\n")
-        r = analyze_paths([f])
-        fps = [r.fingerprints[x] for x in r.findings]
-        assert len(fps) == 2 and len(set(fps)) == 2
-
-    def test_fingerprint_changes_with_rule(self, tmp_path):
-        src = {"a.py": "x = 1\n"}
-        (tmp_path / "a.py").write_text(src["a.py"])
-        a = Finding("RA001", str(tmp_path / "a.py"), 1, 0, "m")
-        b = Finding("RA002", str(tmp_path / "a.py"), 1, 0, "m")
-        fps = compute_fingerprints([a, b], {})
-        assert fps[a] != fps[b]
 
 
 if __name__ == "__main__":

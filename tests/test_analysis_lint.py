@@ -52,6 +52,36 @@ def go(profiler, name):
     assert findings == []
 
 
+def test_ra001_counts_each_call_in_its_innermost_function(tmp_path):
+    findings = _lint(tmp_path, """
+def outer(tr):
+    tr.start("setup")
+    def run():
+        tr.start("w")
+    tr.stop("setup")
+    return run
+""", rules=["RA001"])
+    assert _codes(findings) == ["RA001"]
+    assert "'w'" in findings[0].message and "'run'" in findings[0].message
+
+
+def test_ra001_bound_passed_or_returned_start_is_a_span_handle(tmp_path):
+    findings = _lint(tmp_path, """
+def spans(tr):
+    sp = tr.start("a")
+    tr.end(sp)
+    tr.end(tr.start("b"))
+    return tr.start("c")
+
+def timers(p):
+    p.start("bare")
+    result = p.stop("kept")
+""", rules=["RA001"])
+    assert sorted(f.message.split(" on ")[0] for f in findings) == [
+        "timer 'bare'", "timer 'kept'"]
+    assert all("'timers'" in f.message for f in findings)
+
+
 # --------------------------------------------------------------------- RA002
 def test_ra002_flags_wall_clock_and_rng(tmp_path):
     findings = _lint(tmp_path, """
@@ -312,12 +342,34 @@ def work(doc, pr):
 
 
 def test_ra007_sanctioned_reporters_are_exempt(tmp_path):
-    for rel in ("pkg/__main__.py", "repro/harness/report.py",
-                "repro/serve/loadgen.py"):
+    """Program entry points may print: ``__main__.py`` by name, any other
+    module by its top-level main guard."""
+    guard = 'def show(x):\n    print(x)\n\nif __name__ == "__main__":\n    show(1)\n'
+    for rel, source in (("pkg/__main__.py", "def show(x):\n    print(x)\n"),
+                        ("repro/harness/report.py", guard),
+                        ("repro/serve/loadgen.py", guard)):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("def show(x):\n    print(x)\n")
+        path.write_text(source)
         assert lint_file(path, rules=["RA007"]) == [], rel
+
+
+def test_library_rules_are_scoped_by_file_name_and_main_guard(tmp_path):
+    """RA002/RA007 run on library modules only; the file itself says so."""
+    source = "import time\n\ndef work():\n    print(time.time())\n"
+    guarded = source + '\nif __name__ == "__main__":\n    work()\n'
+    nested = tmp_path / "tests" / "pkg"  # a directory name exempts nothing
+    nested.mkdir(parents=True)
+    for name, text, expected in (
+            ("mod.py", source, ["RA002", "RA007"]),
+            ("test_mod.py", source, []),
+            ("conftest.py", source, []),
+            ("tests/pkg/mod.py", source, ["RA002", "RA007"]),
+            ("main_mod.py", guarded, ["RA002"])):
+        path = tmp_path / name
+        path.write_text(text)
+        assert sorted(_codes(lint_file(path, rules=["RA002", "RA007"]))) \
+            == expected, name
 
 
 def test_ra007_noqa_suppression(tmp_path):

@@ -37,7 +37,7 @@ class Provider(Component):
 class User(Component):
     def set_services(self, sv):
         self.sv = sv
-        sv.register_uses_port("math", MathPort)
+        sv.register_uses_port("math", MathPort)  # ra: noqa[RA003] tests fetch via user.sv
 
 
 class TestPortMethods:
@@ -91,7 +91,7 @@ class TestServices:
     def test_duplicate_uses_rejected(self):
         class Dup(Component):
             def set_services(self, sv):
-                sv.register_uses_port("math", MathPort)
+                sv.register_uses_port("math", MathPort)  # ra: noqa[RA003] duplicate under test
                 sv.register_uses_port("math", MathPort)
 
         with pytest.raises(ValueError, match="already registered"):
@@ -108,7 +108,7 @@ class TestServices:
     def test_uses_type_must_be_port_subclass(self):
         class Wrong(Component):
             def set_services(self, sv):
-                sv.register_uses_port("x", int)
+                sv.register_uses_port("x", int)  # ra: noqa[RA003] bad type under test
 
         with pytest.raises(TypeError):
             Framework().create("w", Wrong)
@@ -116,7 +116,7 @@ class TestServices:
     def test_connect_type_mismatch_rejected(self):
         class GoUser(Component):
             def set_services(self, sv):
-                sv.register_uses_port("runner", GoPort)
+                sv.register_uses_port("runner", GoPort)  # ra: noqa[RA003] connect is under test
 
         fw = Framework()
         fw.create("p", Provider)

@@ -90,7 +90,7 @@ def test_connect_default_provider_port(fw):
 
 def test_disconnect_and_destroy(fw):
     run_script(fw, GOOD)
-    run_script(fw, "disconnect driver echo\ndestroy echo")
+    run_script(fw, "disconnect driver echo\ndestroy echo")  # ra: noqa[RA003] echo is from GOOD
     assert "echo" not in fw.instance_names()
 
 
@@ -125,7 +125,7 @@ def test_bad_kwarg_token(fw):
 
 
 def test_go_result_is_last(fw):
-    text = GOOD + "\ninstantiate Echo echo2 prefix='Z'\n" \
-                  "disconnect driver echo\nconnect driver echo echo2 echo\ngo driver"
+    text = (GOOD + "\ninstantiate Echo echo2 prefix='Z'\n"  # ra: noqa[RA003] extends GOOD
+            "disconnect driver echo\nconnect driver echo echo2 echo\ngo driver")
     result = run_script(fw, text)
     assert result.go_result == "Z:hi"

@@ -34,7 +34,7 @@ def test_secondary_abort_failures_suppressed():
     """Ranks killed by the abort shouldn't mask the root cause."""
 
     def job(comm):
-        if comm.rank == 0:
+        if comm.rank == 0:  # ra: noqa[RA009] rank 0 must block to be aborted
             comm.barrier()  # blocks; gets aborted
         raise RuntimeError("primary failure")
 

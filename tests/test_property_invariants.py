@@ -39,7 +39,7 @@ def test_profiler_exclusive_time_closure(data):
     """
     clock = TickClock()
     p = Profiler(clock=clock)
-    p.start("root")
+    p.start("root")  # ra: noqa[RA001] stopped by the stack unwind below
     stack = ["root"]
     next_id = 0
     for _ in range(data.draw(st.integers(0, 30))):

@@ -11,7 +11,7 @@ from repro.tau.profiler import Profiler
 class Inspector(Component):
     def set_services(self, sv):
         self.sv = sv
-        sv.register_uses_port("measurement", MeasurementPort)
+        sv.register_uses_port("measurement", MeasurementPort)  # ra: noqa[RA003] fetched via insp.sv
 
 
 @pytest.fixture
