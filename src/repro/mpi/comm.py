@@ -11,8 +11,6 @@ Figure 3 profile and the ghost-cell timings of Figure 9.
 
 from __future__ import annotations
 
-import copy
-import time as _time
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Sequence
 
@@ -20,14 +18,13 @@ import numpy as np
 
 from repro.faults.plan import DROP as FAULT_DROP
 from repro.faults.plan import DUPLICATE as FAULT_DUPLICATE
-from repro.faults.policy import CommFailure
 from repro.mpi import collectives as coll
-from repro.mpi.message import ANY_SOURCE, ANY_TAG, Envelope, Status
+from repro.mpi.message import (ANY_SOURCE, ANY_TAG, Envelope, Status,
+                                copy_payload)
 from repro.mpi.network import payload_nbytes
 from repro.mpi.request import RecvRequest, Request, SendRequest
 from repro.mpi.world import WORLD_CONTEXT, SimMPIError, SimWorld
 from repro.obs.span import CAT_MPI, CAT_MPI_WAIT, Span
-from repro.util.timebase import now_us
 
 # Reduction operators accepted by reduce/allreduce/scan, by name.
 _OPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -36,15 +33,6 @@ _OPS: dict[str, Callable[[Any, Any], Any]] = {
     "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
     "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
 }
-
-
-def _copy_payload(obj: Any) -> Any:
-    """Value-semantics copy of a message payload."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if obj is None or isinstance(obj, (int, float, complex, str, bytes, bool)):
-        return obj
-    return copy.deepcopy(obj)
 
 
 #: MPI routine -> hierarchical algorithm used when ``collectives="hier"``
@@ -157,7 +145,7 @@ class SimComm:
             source=self.rank,
             dest=dest,
             tag=tag,
-            payload=_copy_payload(obj),
+            payload=copy_payload(obj),
             nbytes=nbytes,
             cost_us=net.p2p_cost(nbytes, self.rng),
         )
@@ -188,7 +176,7 @@ class SimComm:
                 # message, exactly like a retransmission race.
                 self.world.deliver(self.context, Envelope(
                     source=env.source, dest=env.dest, tag=env.tag,
-                    payload=_copy_payload(env.payload), nbytes=env.nbytes,
+                    payload=copy_payload(env.payload), nbytes=env.nbytes,
                     cost_us=env.cost_us, seq=env.seq, trace_ctx=env.trace_ctx,
                 ))
                 return nbytes
@@ -197,87 +185,12 @@ class SimComm:
         self.world.deliver(self.context, env)
         return nbytes
 
-    def _mark_retry(self, span: Span | None, t_retry_us: float | None) -> None:
-        """Accumulate bounded-retry wall time on the enclosing span.
-
-        The critical-path analyzer splits ``retry_us`` out of an mpi_wait
-        span into the retry bucket of its attribution.
-        """
-        if span is not None and t_retry_us is not None:
-            span.attrs["retry_us"] = (
-                span.attrs.get("retry_us", 0.0) + (now_us() - t_retry_us))
-
-    def _match_resilient(self, source: int, tag: int,
-                         span: Span | None = None) -> Envelope:
-        """Blocking match with bounded retry + recovery when a resilience
-        policy is attached (plain deadlock-bounded match otherwise).
-
-        Each empty retry round triggers retransmission of matching dropped
-        envelopes (charged ``retransmit_cost_us`` apiece under
-        ``MPI_Retransmit``); the per-attempt timeout grows exponentially.
-        Exhausting the budget raises a typed :class:`CommFailure` only when
-        the message is provably lost (a tombstone matches) — a healthy but
-        slow peer falls back to the ordinary deadlock timeout.
-        """
-        world = self.world
-        policy = world.policy
-        if policy is None or world.injector is None:
-            return world.match(self.context, self.rank, source, tag)
-        stats = world.resilience[self.rank]
-        metrics = self._obs.metrics if self._obs is not None else None
-        t_retry: float | None = None
-        for attempt in range(policy.max_attempts):
-            env = world.match_timeout(self.context, self.rank, source, tag,
-                                      policy.attempt_timeout_s(attempt))
-            if env is not None:
-                self._mark_retry(span, t_retry)
-                return env
-            stats.retry_rounds += 1
-            if t_retry is None:
-                t_retry = now_us()
-            if metrics is not None:
-                metrics.counter("mpi_retry_rounds_total",
-                                "bounded receive retry rounds").inc()
-            recovered = world.recover_dropped(self.context, self.rank, source, tag)
-            if recovered:
-                self.charge("MPI_Retransmit", recovered * policy.retransmit_cost_us)
-                env = world.try_match(self.context, self.rank, source, tag)
-                if env is not None:
-                    self._mark_retry(span, t_retry)
-                    return env
-        self._mark_retry(span, t_retry)
-        if world.lost_forever(self.context, self.rank, source, tag):
-            stats.failures += 1
-            if metrics is not None:
-                metrics.counter("mpi_comm_failures_total",
-                                "typed communication failures raised").inc()
-            raise CommFailure(
-                f"rank {self.rank}: no message (source={source}, tag={tag}, "
-                f"context={self.context!r}) after {policy.max_attempts} retry "
-                "round(s); a matching message was unrecoverably dropped"
-            )
-        # Healthy but slow: fall back to the deadlock-timeout-bounded wait,
-        # still recovering opportunistically — process backends deliver drop
-        # records asynchronously, so a recoverable drop can land in the
-        # stash after the counted rounds ran dry (on the thread backend the
-        # stash is already empty here and recovery never fires).
-        deadline = _time.monotonic() + world.timeout_s
-        while True:
-            env = world.match_timeout(self.context, self.rank, source, tag,
-                                      min(0.5, world.timeout_s))
-            if env is not None:
-                return env
-            recovered = world.recover_dropped(self.context, self.rank,
-                                              source, tag)
-            if recovered:
-                self.charge("MPI_Retransmit",
-                            recovered * policy.retransmit_cost_us)
-            if _time.monotonic() >= deadline:
-                raise SimMPIError(
-                    f"rank {self.rank} timed out after {world.timeout_s}s "
-                    f"waiting for message (source={source}, tag={tag}, "
-                    f"context={self.context!r}) — likely deadlock"
-                )
+    def _match(self, source: int, tag: int, routine: str) -> Envelope:
+        """Blocking match of a user receive: the world's one mailbox wait,
+        with bounded retry and recovery in fault runs (``MPI_Retransmit``
+        charged to this rank's ledger)."""
+        return self.world.match(self.context, self.rank, source, tag,
+                                routine, charge=self.charge)
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send: copy, deliver, charge injection cost."""
@@ -297,7 +210,7 @@ class SimComm:
     ) -> Any:
         """Blocking receive; charged the message's modeled transfer cost."""
         with self._span_ctx("MPI_Recv", CAT_MPI_WAIT, source=source, tag=tag) as sp:
-            env = self._match_resilient(source, tag, span=sp)
+            env = self._match(source, tag, "MPI_Recv")
             if self._obs is not None:
                 self._obs.tracer.flow_in(env.seq, sp)
             self.charge("MPI_Recv", env.cost_us)
@@ -341,8 +254,8 @@ class SimComm:
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               status: Status | None = None) -> None:
         """Blocking probe: wait until a matching message is available."""
-        with self._span_ctx("MPI_Probe", CAT_MPI_WAIT, source=source, tag=tag) as sp:
-            env = self._match_resilient(source, tag, span=sp)
+        with self._span_ctx("MPI_Probe", CAT_MPI_WAIT, source=source, tag=tag):
+            env = self._match(source, tag, "MPI_Probe")
             # No flow_in here: the probe does not consume the message, the
             # eventual receive anchors the causal edge.
             self.world.deliver(self.context, env)
@@ -356,7 +269,7 @@ class SimComm:
         """Combined send+receive (deadlock-free under the buffered model)."""
         with self._span_ctx("MPI_Sendrecv", CAT_MPI_WAIT, dest=dest) as sp:
             self._post_send(obj, dest, sendtag, span=sp)
-            env = self._match_resilient(source, recvtag, span=sp)
+            env = self._match(source, recvtag, "MPI_Sendrecv")
             if self._obs is not None:
                 self._obs.tracer.flow_in(env.seq, sp)
             self.charge("MPI_Sendrecv", env.cost_us + self.world.network.min_cost_us)
@@ -414,13 +327,8 @@ class SimComm:
             value = (san.collective_token(self.rank, self.context, seq,
                                           routine), value)
         with self._span_ctx(routine, CAT_MPI_WAIT, coll_seq=seq) as sp:
-            if self.world.policy is not None:
-                vals = self.world.exchange_resilient(
-                    self.context, seq, self.rank, value, self.world.policy,
-                    routine=routine)
-            else:
-                vals = self.world.exchange(self.context, seq, self.rank,
-                                           value, routine=routine)
+            vals = self.world.exchange(self.context, seq, self.rank, value,
+                                       routine=routine)
             if check_order:
                 san.collective_check(self.rank, self.context, seq,
                                      [v[0] for v in vals])
@@ -439,21 +347,20 @@ class SimComm:
         The formula follows the selected algorithm family: the default
         (``collectives=None``) keeps the legacy generic log-tree model
         bit-for-bit; ``"flat"`` charges the rendezvous its honest
-        linear-in-P cost; ``"hier"`` charges the specific algorithm
-        (binomial/recursive-doubling trees, or the ring for allgather).
+        linear-in-P cost; ``"hier"`` charges the ring for allgather, and
+        for its binomial and recursive-doubling trees the same
+        ``ceil(log2 P)``-stage formula as the default.
         Exactly one jitter draw is consumed per collective in every mode,
         so per-rank RNG streams stay aligned across algorithm choices.
         """
         net = self.world.network
-        mode = self.world.collectives
-        if mode is None or self.size <= 1:
-            cost = net.collective_cost(nbytes, self.size, self.rng)
-        elif mode == "flat":
+        mode = self.world.collectives if self.size > 1 else None
+        if mode == "flat":
             cost = net.flat_collective_cost(nbytes, self.size, self.rng)
-        elif algo == "ring":
+        elif mode == "hier" and algo == "ring":
             cost = net.ring_collective_cost(nbytes, self.size, self.rng)
         else:
-            cost = net.tree_collective_cost(nbytes, self.size, self.rng)
+            cost = net.collective_cost(nbytes, self.size, self.rng)
         self.charge(routine, cost)
 
     def barrier(self) -> None:
@@ -480,11 +387,11 @@ class SimComm:
                     obj if self.rank == root else None, root))
             self._charge_collective("MPI_Bcast", payload_nbytes(result))
             return result if self.rank != root else obj
-        vals = self._exchange(_copy_payload(obj) if self.rank == root else None,
+        vals = self._exchange(copy_payload(obj) if self.rank == root else None,
                               "MPI_Bcast")
         result = vals[root]
         self._charge_collective("MPI_Bcast", payload_nbytes(result))
-        return _copy_payload(result) if self.rank != root else obj
+        return copy_payload(result) if self.rank != root else obj
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank at ``root`` (None elsewhere)."""
@@ -498,7 +405,7 @@ class SimComm:
             self._charge_collective("MPI_Gather", payload_nbytes(obj))
             return ([acc[r] for r in range(self.size)]
                     if self.rank == root else None)
-        vals = self._exchange(_copy_payload(obj), "MPI_Gather")
+        vals = self._exchange(copy_payload(obj), "MPI_Gather")
         self._charge_collective("MPI_Gather", payload_nbytes(obj))
         return vals if self.rank == root else None
 
@@ -513,7 +420,7 @@ class SimComm:
             self._charge_collective("MPI_Allgather", payload_nbytes(obj),
                                     algo="ring")
             return vals
-        vals = self._exchange(_copy_payload(obj), "MPI_Allgather")
+        vals = self._exchange(copy_payload(obj), "MPI_Allgather")
         self._charge_collective("MPI_Allgather", payload_nbytes(obj))
         return vals
 
@@ -523,7 +430,7 @@ class SimComm:
         if self.rank == root:
             if objs is None or len(objs) != self.size:
                 raise ValueError(f"scatter at root needs a length-{self.size} sequence")
-            vals = self._exchange([_copy_payload(o) for o in objs], "MPI_Scatter")
+            vals = self._exchange([copy_payload(o) for o in objs], "MPI_Scatter")
         else:
             vals = self._exchange(None, "MPI_Scatter")
         items = vals[root]
@@ -534,7 +441,7 @@ class SimComm:
         """Each rank sends item j to rank j; returns the column addressed to it."""
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs a length-{self.size} sequence")
-        vals = self._exchange([_copy_payload(o) for o in objs], "MPI_Alltoall")
+        vals = self._exchange([copy_payload(o) for o in objs], "MPI_Alltoall")
         self._charge_collective("MPI_Alltoall", sum(payload_nbytes(o) for o in objs))
         return [vals[src][self.rank] for src in range(self.size)]
 
@@ -561,7 +468,7 @@ class SimComm:
             # Combine in rank order: identical floating-point association
             # to the rendezvous path, so results match bit-for-bit.
             return self._reduce_values([acc[r] for r in range(self.size)], op)
-        vals = self._exchange(_copy_payload(obj), "MPI_Reduce")
+        vals = self._exchange(copy_payload(obj), "MPI_Reduce")
         self._charge_collective("MPI_Reduce", payload_nbytes(obj))
         return self._reduce_values(vals, op) if self.rank == root else None
 
@@ -575,13 +482,13 @@ class SimComm:
                     w, ctx, self.rank, self.size, base, obj))
             self._charge_collective("MPI_Allreduce", payload_nbytes(obj))
             return self._reduce_values(vals, op)
-        vals = self._exchange(_copy_payload(obj), "MPI_Allreduce")
+        vals = self._exchange(copy_payload(obj), "MPI_Allreduce")
         self._charge_collective("MPI_Allreduce", payload_nbytes(obj))
         return self._reduce_values(vals, op)
 
     def scan(self, obj: Any, op: str | Callable[[Any, Any], Any] = "sum") -> Any:
         """Inclusive prefix reduction over ranks 0..self.rank."""
-        vals = self._exchange(_copy_payload(obj), "MPI_Scan")
+        vals = self._exchange(copy_payload(obj), "MPI_Scan")
         self._charge_collective("MPI_Scan", payload_nbytes(obj))
         return self._reduce_values(vals[: self.rank + 1], op)
 

@@ -23,22 +23,24 @@ Small frames to the same destination **coalesce**: instead of one ring
 write (lock, length prefix, counter publish) per envelope, outbound
 frames queue per destination and flush as a single multi-frame batch
 write when the batch fills — or, crucially, *before this rank blocks*
-(any receive, collective wait, or shutdown).  Flush-before-blocking
-preserves every liveness property: a rank registered in the deadlock
-wait table provably has nothing buffered, and a computing rank cannot be
-part of a stuck cycle.  Sub-frames keep their envelope sequence numbers,
-so non-overtaking order, receiver dedup, fault plans and the MPI ledger
-are exactly as exact as per-frame sends.  A ``stop`` frame (end-of-job
-marker a worker writes into its *own* ring after the final barrier)
-releases the receiver thread.
+(the base world's one mailbox wait, which every receive, probe, request
+wait and tree collective goes through, calls the
+:meth:`ShmWorld._before_block` hook) and at shutdown.
+Flush-before-blocking preserves every liveness property: a rank
+registered in the deadlock wait table provably has nothing buffered,
+and a computing rank cannot be part of a stuck cycle.  Sub-frames keep
+their envelope sequence numbers, so non-overtaking order, receiver
+dedup, fault plans and the MPI ledger are exactly as exact as per-frame
+sends.  A ``stop`` frame (end-of-job marker a worker writes into its
+*own* ring after the final barrier) releases the receiver thread.
 
 Collectives: the rendezvous-slot exchange of the thread world cannot span
 processes, so :meth:`ShmWorld.exchange` reuses the tree machinery of
 :mod:`repro.mpi.collectives` (binomial gather + broadcast over transport
 frames).  Sanitizer tokens piggyback through the exchanged values exactly
-as on the thread backend.  The bounded-retry semantics of
-``exchange_resilient`` degrade to the plain deadlock-timeout-bounded tree
-(documented limitation; p2p bounded retry/recovery is unaffected because
+as on the thread backend.  The collective's bounded rounds of a fault run
+do not apply to the tree, which is bounded by ``timeout_s`` only (known
+limitation; p2p bounded retry/recovery is unaffected because
 drop/tombstone frames are routed to the destination's local stores).
 
 Failure handling: any rank's exception raises the shared abort flag; every
@@ -174,11 +176,12 @@ class ShmWorld(SimWorld):
     * :meth:`deliver` / :meth:`stash_dropped` route envelopes addressed to
       remote ranks through the destination's ring, coalescing small
       frames per destination;
-    * every blocking entry point (:meth:`match`, :meth:`match_timeout`,
-      :meth:`try_match`) flushes the coalescing buffers first, so queued
-      frames are always on the wire before this rank can stall;
-    * :meth:`exchange` / :meth:`exchange_resilient` replace the
-      shared-slot rendezvous with tree transport;
+    * the pre-block hook (:meth:`_before_block`, run by the base class's
+      one mailbox wait) and :meth:`try_match` flush the coalescing
+      buffers, so queued frames are always on the wire before this rank
+      can stall;
+    * :meth:`exchange` replaces the shared-slot rendezvous with tree
+      transport;
     * :meth:`abort` raises the cross-process abort flag;
     * the sanitizer (when on) is the shared-wait-table variant.
 
@@ -287,29 +290,17 @@ class ShmWorld(SimWorld):
             env.dest, codec.encode(kind, context, env, recoverable))
 
     # -------------------------------------------- flush-before-blocking
-    def match(self, context: str, rank: int, source: int, tag: int) -> Envelope:
+    def _before_block(self) -> None:
+        # The base class's one mailbox wait calls this exactly once, before
+        # it takes the mailbox lock: a blocking ring write must never run
+        # under that lock, and nothing is sent while the rank waits.
         self.flush_frames()
-        return super().match(context, rank, source, tag)
-
-    def match_timeout(self, context: str, rank: int, source: int, tag: int,
-                      timeout_s: float) -> Envelope | None:
-        self.flush_frames()
-        return super().match_timeout(context, rank, source, tag, timeout_s)
 
     def try_match(self, context: str, rank: int, source: int, tag: int) -> Envelope | None:
+        # Ranks that poll with test() and never block rely on this flush
+        # (inside the wait loop's poll it is a no-op).
         self.flush_frames()
         return super().try_match(context, rank, source, tag)
-
-    def mailbox_cond(self, rank: int) -> threading.Condition:
-        # The waitsome/waitall loop blocks on the raw condition rather
-        # than through match(); it fetches the condition exactly once,
-        # before acquiring it, and generates no outbound frames while
-        # waiting — so flushing here keeps the nothing-queued-while-
-        # blocked invariant (and means the flush inside try_match() is a
-        # no-op when the wait loop re-tests under the held lock, which a
-        # blocking ring write must never run under).
-        self.flush_frames()
-        return super().mailbox_cond(rank)
 
     # --------------------------------------------------------- collectives
     def exchange(self, context: str, seq: int, rank: int, value: Any,
@@ -318,14 +309,6 @@ class ShmWorld(SimWorld):
         # Stride 4: tree_allgather consumes two tags per call.
         return coll.tree_allgather(
             self, ctx, self.myrank, self.nranks, seq * 4, value)
-
-    def exchange_resilient(self, context: str, seq: int, rank: int, value: Any,
-                           policy, routine: str = "MPI_Exchange") -> list[Any]:
-        # Documented limitation: across processes the rendezvous is a tree
-        # of point-to-point transfers bounded by the deadlock timeout; the
-        # per-round bounded-retry accounting of the thread backend does not
-        # apply (p2p retry/recovery is unaffected).
-        return self.exchange(context, seq, rank, value, routine=routine)
 
     # -------------------------------------------------------------- abort
     def abort(self, reason: str) -> None:

@@ -72,7 +72,9 @@ class NetworkModel:
         return self.base_p2p_cost(nbytes) * self.sample_jitter(rng)
 
     def collective_cost(self, nbytes: int, nranks: int, rng: np.random.Generator) -> float:
-        """Jittered tree-based collective cost for ``nranks`` participants."""
+        """Jittered tree-based collective cost for ``nranks`` participants:
+        ``ceil(log2 P)`` stages each moving the full payload (binomial-tree
+        bcast/reduce, recursive-doubling allreduce)."""
         check_positive("nranks", nranks)
         stages = max(1, math.ceil(math.log2(nranks))) if nranks > 1 else 0
         base = stages * self.base_p2p_cost(nbytes)
@@ -89,17 +91,6 @@ class NetworkModel:
         if nranks <= 1:
             return self.min_cost_us
         base = 2 * (nranks - 1) * self.base_p2p_cost(nbytes)
-        return max(self.min_cost_us, base * self.sample_jitter(rng))
-
-    def tree_collective_cost(self, nbytes: int, nranks: int,
-                             rng: np.random.Generator) -> float:
-        """Binomial-tree bcast/reduce and recursive-doubling allreduce:
-        ``ceil(log2 P)`` stages each moving the full payload."""
-        check_positive("nranks", nranks)
-        if nranks <= 1:
-            return self.min_cost_us
-        stages = math.ceil(math.log2(nranks))
-        base = stages * self.base_p2p_cost(nbytes)
         return max(self.min_cost_us, base * self.sample_jitter(rng))
 
     def ring_collective_cost(self, nbytes: int, nranks: int,

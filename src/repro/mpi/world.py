@@ -16,13 +16,23 @@ A :class:`SimWorld` holds, for a job of P ranks:
   (lost forever), receivers deduplicate injected duplicates by send
   sequence number, and per-rank
   :class:`~repro.faults.policy.ResilienceStats` count recovery activity.
+
+Blocking has two owners.  :meth:`SimWorld.wait_mailbox` is the only wait on
+a rank's mailbox condition: every receive, probe and request completion
+passes it a poll, and it alone applies abort, the ``timeout_s`` deadline,
+bounded retry rounds with recovery, the loss verdict, deadlock
+registration and the pre-block hook (:meth:`SimWorld._before_block`).
+:meth:`SimWorld.exchange` is the only wait on the collective slot
+condition.  Retry rounds run only in a fault run, where a policy *and* an
+injector are attached: a policy without an injector has nothing to
+recover and is never exercised.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.analysis.sanitize import Sanitizer, SanitizerConfig
 from repro.faults.policy import CommFailure, ResiliencePolicy, ResilienceStats
@@ -31,6 +41,7 @@ from repro.mpi.message import ANY_SOURCE, Envelope
 from repro.mpi.network import NetworkModel
 from repro.obs.runtime import ObsConfig, build_obs
 from repro.util.rng import spawn_rngs
+from repro.util.timebase import now_us
 from repro.util.validation import check_positive
 
 WORLD_CONTEXT = "world"
@@ -38,6 +49,14 @@ WORLD_CONTEXT = "world"
 
 class SimMPIError(RuntimeError):
     """Raised on simulator-level failures (deadlock timeout, abort)."""
+
+
+def _describe(detail: str | None, receives: list[tuple[str, int, int]]) -> str:
+    """A wait's report text: its own detail, or its pending receives."""
+    if detail is not None:
+        return detail
+    pends = ", ".join(f"(source={s}, tag={t})" for _, s, t in receives)
+    return f"({len(receives)} pending recv(s): {pends})"
 
 
 class _CollectiveSlot:
@@ -194,43 +213,145 @@ class SimWorld:
             return set(range(self.nranks)) - {rank}
         return {source}
 
-    def _sanitize_blocked_recv(self, rank: int, source: int, tag: int,
-                               context: str, wait_s: float) -> float:
-        """Register a blocked receive with the deadlock detector and run a
-        detection pass; returns the (possibly shortened) wait timeout."""
-        san = self.sanitizer
-        if san is None or not san.config.deadlock:
-            return wait_s
-        san.enter_wait(rank, "MPI_Recv",
-                       f"(source={source}, tag={tag}, context={context!r})",
-                       self.recv_waits_on(rank, source))
-        san.check_deadlock(rank)
-        return min(wait_s, san.config.deadlock_poll_s)
+    def match(self, context: str, rank: int, source: int, tag: int,
+              routine: str = "MPI_Recv",
+              charge: Callable[[str, float], None] | None = None) -> Envelope:
+        """Blocking receive: pop the first envelope matching (source, tag),
+        waiting in :meth:`wait_mailbox`.
 
-    def match(self, context: str, rank: int, source: int, tag: int) -> Envelope:
-        """Blocking receive match with deadlock timeout."""
+        ``charge`` (the receiving communicator's ledger hook) marks a user
+        receive, which in a fault run retries and recovers drops; the
+        collective transport passes none, its envelopes are never dropped.
+        ``routine`` names the wait in deadlock and timeout reports.
+        """
+        return self.wait_mailbox(
+            rank, lambda: self._pop_locked(context, rank, source, tag),
+            routine, f"(source={source}, tag={tag}, context={context!r})",
+            [(context, source, tag)], charge)
+
+    def _before_block(self) -> None:
+        """Run once before a rank blocks on its mailbox (the mp-shm world
+        puts its coalesced frames on the wire here)."""
+
+    def wait_mailbox(self, rank: int, poll: Callable[[], Any], routine: str,
+                     detail: str | None, receives: list[tuple[str, int, int]],
+                     charge: Callable[[str, float], None] | None = None) -> Any:
+        """The one blocking wait on ``rank``'s mailbox.
+
+        Every blocking receive, probe and request completion ends here.
+        ``poll`` runs under the mailbox lock and returns the result, or
+        None to keep waiting.  ``receives`` holds the (context, source,
+        tag) receives still pending: their sources are the deadlock
+        detector's wait-for edges, and ``poll`` may shrink the list in
+        place as some of several receives complete.  ``detail`` describes
+        the wait in reports (None: list the pending receives).
+
+        On every wake-up the loop checks the abort flag, then the hard
+        ``timeout_s`` deadline.  A fault run (policy *and* injector
+        attached, and a ``charge`` hook) adds the retry policy:
+
+        * each ``policy.attempt_timeout_s(attempt)`` without a match is a
+          counted retry round that recovers matching dropped envelopes
+          from the retransmission buffers, with one ``MPI_Retransmit``
+          charge per recovering round;
+        * after ``max_attempts`` rounds recovery goes on at every wake-up
+          (process backends deliver drop records asynchronously), and a
+          pending receive whose message is tombstoned raises
+          :class:`CommFailure`.  Without evidence of loss the peer is
+          merely slow: only ``timeout_s`` bounds the wait.
+
+        Fault runs also suspend deadlock registration: a receive may be
+        blocked on a dropped-but-recoverable message the wait-for graph
+        cannot see.  The wall time from the first retry round on is added
+        to the enclosing span's ``retry_us``.
+        """
+        policy = self.policy
+        fault_run = (charge is not None and policy is not None
+                     and self.injector is not None)
+        san = self.sanitizer
+        register = san is not None and san.config.deadlock and not fault_run
+        obs = self.obs[rank] if self.obs is not None else None
         cond = self._mail_conds[rank]
-        deadline = time.monotonic() + self.timeout_s
+        self._before_block()
+        now = time.monotonic()
+        deadline = now + self.timeout_s
+        next_round = now + policy.attempt_timeout_s(0) if fault_run else 0.0
+        attempt = 0
+        t_retry: float | None = None
         try:
             with cond:
                 while True:
                     self._check_abort()
-                    env = self._pop_locked(context, rank, source, tag)
-                    if env is not None:
-                        return env
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    result = poll()
+                    if result is not None:
+                        return result
+                    now = time.monotonic()
+                    if now >= deadline:
                         raise SimMPIError(
-                            f"rank {rank} timed out after {self.timeout_s}s waiting for "
-                            f"message (source={source}, tag={tag}, context={context!r}) — "
-                            "likely deadlock"
-                        )
-                    wait_s = self._sanitize_blocked_recv(
-                        rank, source, tag, context, min(remaining, 0.5))
+                            f"rank {rank} timed out after {self.timeout_s}s "
+                            f"in {routine} {_describe(detail, receives)} — "
+                            "likely deadlock")
+                    wait_s = min(deadline - now, 0.5)
+                    if fault_run:
+                        counted = attempt < policy.max_attempts
+                        if counted and now < next_round:
+                            wait_s = min(wait_s, next_round - now)
+                        else:
+                            if counted:
+                                attempt += 1
+                                self.resilience[rank].retry_rounds += 1
+                                if t_retry is None:
+                                    t_retry = now_us()
+                                if obs is not None:
+                                    obs.metrics.counter(
+                                        "mpi_retry_rounds_total",
+                                        "bounded receive retry rounds").inc()
+                            recovered = sum(
+                                self.recover_dropped(c, rank, s, t)
+                                for c, s, t in receives)
+                            if recovered:
+                                charge("MPI_Retransmit",
+                                       recovered * policy.retransmit_cost_us)
+                            if counted:
+                                next_round = now + policy.attempt_timeout_s(attempt)
+                                continue
+                            if recovered:
+                                continue
+                            self._fail_if_lost(rank, routine, receives, attempt)
+                    if register:
+                        san.enter_wait(
+                            rank, routine, _describe(detail, receives),
+                            set().union(*(self.recv_waits_on(rank, s)
+                                          for _, s, _ in receives)))
+                        san.check_deadlock(rank)
+                        wait_s = min(wait_s, san.config.deadlock_poll_s)
                     cond.wait(wait_s)
         finally:
-            if self.sanitizer is not None:
-                self.sanitizer.exit_wait(rank)
+            if san is not None:
+                san.exit_wait(rank)
+            span = (obs.tracer.current()
+                    if obs is not None and t_retry is not None else None)
+            if span is not None:
+                # The critical-path analyzer splits this out of the wait.
+                span.attrs["retry_us"] = (
+                    span.attrs.get("retry_us", 0.0) + (now_us() - t_retry))
+
+    def _fail_if_lost(self, rank: int, routine: str,
+                      receives: list[tuple[str, int, int]], attempt: int) -> None:
+        """The loss verdict: raise :class:`CommFailure` for the first
+        pending receive a tombstone matches."""
+        for context, source, tag in receives:
+            if self.lost_forever(context, rank, source, tag):
+                self.resilience[rank].failures += 1
+                if self.obs is not None:
+                    self.obs[rank].metrics.counter(
+                        "mpi_comm_failures_total",
+                        "typed communication failures raised").inc()
+                raise CommFailure(
+                    f"rank {rank}: {routine} receive (source={source}, "
+                    f"tag={tag}, context={context!r}) unmatched after "
+                    f"{attempt} retry round(s); a matching message was "
+                    "unrecoverably dropped")
 
     def _pop_locked(self, context: str, rank: int, source: int, tag: int) -> Envelope | None:
         box = self._mailboxes.get((context, rank))
@@ -270,10 +391,6 @@ class SimWorld:
         cond = self._mail_conds[rank]
         with cond:
             self._consumed.get((context, rank), set()).discard(seq)
-
-    def mailbox_cond(self, rank: int) -> threading.Condition:
-        """Condition variable guarding ``rank``'s mailbox (for waitsome)."""
-        return self._mail_conds[rank]
 
     def pending_count(self, context: str, rank: int) -> int:
         """Number of undelivered envelopes waiting for ``rank`` (testing aid)."""
@@ -338,46 +455,7 @@ class SimWorld:
             stones = self._tombstones.get((context, rank), [])
             return any(env.matches(source, tag) for env in stones)
 
-    def match_timeout(self, context: str, rank: int, source: int, tag: int,
-                      timeout_s: float) -> Envelope | None:
-        """Like :meth:`match`, but give up after ``timeout_s`` (one bounded
-        retry round) and return None instead of raising.
-
-        Deadlock verdicts are suspended here: a receive inside a bounded
-        retry round may be blocked on a *dropped-but-recoverable* message,
-        which the wait-for graph cannot see — the retry machinery (which
-        calls this) owns liveness until its rounds are exhausted, after
-        which the caller falls back to :meth:`match` and detection resumes.
-        """
-        cond = self._mail_conds[rank]
-        deadline = time.monotonic() + timeout_s
-        with cond:
-            while True:
-                self._check_abort()
-                env = self._pop_locked(context, rank, source, tag)
-                if env is not None:
-                    return env
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                cond.wait(min(remaining, 0.5))
-
     # ---------------------------------------------------------- collective
-    def _sanitize_blocked_collective(self, rank: int, key: tuple[str, int],
-                                     slot: "_CollectiveSlot", routine: str,
-                                     wait_s: float) -> float:
-        """Register a rank blocked in a collective with the deadlock
-        detector (waiting on the ranks that have not deposited yet)."""
-        san = self.sanitizer
-        if san is None or not san.config.deadlock:
-            return wait_s
-        missing = set(range(self.nranks)) - set(slot.values)
-        san.enter_wait(rank, routine,
-                       f"(collective #{key[1]}, context={key[0]!r}, "
-                       f"waiting on ranks {sorted(missing)})", missing)
-        san.check_deadlock(rank)
-        return min(wait_s, san.config.deadlock_poll_s)
-
     def exchange(self, context: str, seq: int, rank: int, value: Any,
                  routine: str = "MPI_Exchange") -> list[Any]:
         """All-to-all rendezvous: every rank deposits, all read all values.
@@ -388,9 +466,23 @@ class SimWorld:
         rank.  Returns values ordered by rank.  The last reader frees the
         slot so the table stays bounded.  ``routine`` is diagnostic only
         (deadlock reports name the blocked operation).
+
+        The one wait on the slot condition.  ``timeout_s`` bounds it hard.
+        A fault run (policy *and* injector attached) also waits in
+        ``policy.max_attempts`` rounds of ``policy.collective_timeout_s``,
+        growing by the backoff factor: an incomplete round counts a
+        collective retry, and exhausting the budget raises
+        :class:`~repro.faults.policy.CommFailure`.
         """
         key = (context, seq)
-        deadline = time.monotonic() + self.timeout_s
+        policy = self.policy
+        bounded = policy is not None and self.injector is not None
+        now = time.monotonic()
+        deadline = now + self.timeout_s
+        round_deadline = (now + min(policy.collective_timeout_s, self.timeout_s)
+                          if bounded else deadline)
+        attempt = 0
+        san = self.sanitizer
         try:
             with self._coll_cond:
                 slot = self._coll_slots.get(key)
@@ -404,73 +496,17 @@ class SimWorld:
                     )
                 slot.values[rank] = value
                 slot.deposited += 1
-                if self.sanitizer is not None:
+                if san is not None:
                     # A deposit can unblock any waiter: registered waits on
                     # this rank are stale until re-checked.
-                    self.sanitizer.notify_progress_all()
+                    san.notify_progress_all()
                 if slot.deposited == self.nranks:
                     slot.ready = True
                     self._coll_cond.notify_all()
-                while not slot.ready:
-                    self._check_abort()
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise SimMPIError(
-                            f"rank {rank} timed out in collective {key}: only "
-                            f"{slot.deposited}/{self.nranks} ranks arrived — likely "
-                            "mismatched collective calls"
-                        )
-                    wait_s = self._sanitize_blocked_collective(
-                        rank, key, slot, routine, min(remaining, 0.5))
-                    self._coll_cond.wait(wait_s)
-                result = [slot.values[r] for r in range(self.nranks)]
-                slot.readers += 1
-                if slot.readers == self.nranks:
-                    del self._coll_slots[key]
-                return result
-        finally:
-            if self.sanitizer is not None:
-                self.sanitizer.exit_wait(rank)
-
-    def exchange_resilient(self, context: str, seq: int, rank: int, value: Any,
-                           policy: ResiliencePolicy,
-                           routine: str = "MPI_Exchange") -> list[Any]:
-        """Bounded-retry variant of :meth:`exchange`.
-
-        Waits in ``policy.max_attempts`` rounds of
-        ``policy.collective_timeout_s`` (growing by the backoff factor);
-        an incomplete round counts a collective retry, and exhausting the
-        budget raises a typed :class:`~repro.faults.policy.CommFailure`
-        instead of hanging until the world's deadlock timeout.  The overall
-        wait is additionally capped by ``timeout_s`` like the plain path.
-        """
-        key = (context, seq)
-        hard_deadline = time.monotonic() + self.timeout_s
-        try:
-            with self._coll_cond:
-                slot = self._coll_slots.get(key)
-                if slot is None:
-                    slot = _CollectiveSlot()
-                    self._coll_slots[key] = slot
-                if rank in slot.values:
-                    raise SimMPIError(
-                        f"rank {rank} deposited twice into collective {key}; "
-                        "collectives must be called in the same order on all ranks"
-                    )
-                slot.values[rank] = value
-                slot.deposited += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.notify_progress_all()
-                if slot.deposited == self.nranks:
-                    slot.ready = True
-                    self._coll_cond.notify_all()
-                attempt = 0
-                round_deadline = time.monotonic() + min(
-                    policy.collective_timeout_s, self.timeout_s)
                 while not slot.ready:
                     self._check_abort()
                     now = time.monotonic()
-                    if now >= hard_deadline:
+                    if now >= deadline:
                         raise SimMPIError(
                             f"rank {rank} timed out in collective {key}: only "
                             f"{slot.deposited}/{self.nranks} ranks arrived — likely "
@@ -478,21 +514,29 @@ class SimWorld:
                         )
                     if now >= round_deadline:
                         attempt += 1
-                        self.resilience[rank].retry_rounds += 1
+                        stats = self.resilience[rank]
+                        stats.retry_rounds += 1
                         if attempt >= policy.max_attempts:
-                            self.resilience[rank].failures += 1
+                            stats.failures += 1
                             raise CommFailure(
                                 f"rank {rank}: collective {key} incomplete after "
                                 f"{attempt} bounded round(s) "
                                 f"({slot.deposited}/{self.nranks} ranks arrived)"
                             )
-                        self.resilience[rank].collective_retries += 1
+                        stats.collective_retries += 1
                         round_deadline = now + policy.collective_timeout_s * (
                             policy.backoff_factor ** attempt)
                         continue
-                    wait_s = self._sanitize_blocked_collective(
-                        rank, key, slot, routine,
-                        min(round_deadline - now, 0.5))
+                    wait_s = min(min(round_deadline, deadline) - now, 0.5)
+                    if san is not None and san.config.deadlock:
+                        # Waiting on the ranks that have not deposited yet.
+                        missing = set(range(self.nranks)) - set(slot.values)
+                        san.enter_wait(
+                            rank, routine,
+                            f"(collective #{seq}, context={context!r}, "
+                            f"waiting on ranks {sorted(missing)})", missing)
+                        san.check_deadlock(rank)
+                        wait_s = min(wait_s, san.config.deadlock_poll_s)
                     self._coll_cond.wait(wait_s)
                 result = [slot.values[r] for r in range(self.nranks)]
                 slot.readers += 1
@@ -500,5 +544,5 @@ class SimWorld:
                     del self._coll_slots[key]
                 return result
         finally:
-            if self.sanitizer is not None:
-                self.sanitizer.exit_wait(rank)
+            if san is not None:
+                san.exit_wait(rank)

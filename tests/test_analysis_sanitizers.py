@@ -62,6 +62,39 @@ def test_wait_on_never_sent_irecv_deadlocks_with_pending_ops():
     assert "tag=3" in text or "tag=4" in text
 
 
+def _probe_each_other(comm):
+    comm.probe(source=1 - comm.rank, tag=5)
+
+
+def _wait_each_other(comm):
+    comm.irecv(source=1 - comm.rank, tag=5).wait()
+
+
+def _waitall_each_other(comm):
+    from repro.mpi.request import waitall
+    waitall([comm.irecv(source=1 - comm.rank, tag=5)])
+
+
+def _sendrecv_mismatched_tags(comm):
+    comm.sendrecv(comm.rank, dest=1 - comm.rank, sendtag=4,
+                  source=1 - comm.rank, recvtag=5)
+
+
+@pytest.mark.parametrize("fn, routine", [
+    (_probe_each_other, "MPI_Probe ("),
+    (_wait_each_other, "MPI_Wait ("),
+    (_waitall_each_other, "MPI_Waitall ("),
+    (_sendrecv_mismatched_tags, "MPI_Sendrecv ("),
+])
+def test_deadlock_report_names_the_blocking_routine(fn, routine):
+    with pytest.raises(RankFailure) as exc:
+        _runner(2).run(fn)
+    text = str(exc.value)
+    assert "DeadlockError" in text
+    assert f"blocked in {routine}" in text
+    assert "tag=5" in text
+
+
 def test_no_false_positive_on_any_source_fan_in():
     """ANY_SOURCE waits on everyone: one live sender must clear it."""
     def fn(comm):

@@ -1,5 +1,7 @@
 """MPI-layer fault injection and recovery (drops, duplicates, delays, stalls)."""
 
+import time
+
 import pytest
 
 from repro.faults.injector import FaultInjector
@@ -206,6 +208,22 @@ def test_collective_abandonment_raises_comm_failure():
 
     with pytest.raises(RankFailure, match="CommFailure"):
         run_with(FaultPlan(), fn, policy=policy, timeout_s=5.0)
+
+
+def test_collective_policy_without_injector_is_never_exercised():
+    """With no injector there is nothing to recover: a slow rank is not a
+    failure, and the collective is bounded by the plain timeout only."""
+    policy = ResiliencePolicy(max_attempts=2, collective_timeout_s=0.05)
+
+    def fn(comm):
+        if comm.rank == 0:
+            time.sleep(0.5)
+        return comm.allreduce(1)
+
+    results, world = run_with(None, fn, policy=policy, timeout_s=5.0)
+    assert results == [2, 2]
+    assert all(s.retry_rounds == 0 and s.failures == 0
+               for s in world.resilience)
 
 
 # ------------------------------------------------------------- determinism
